@@ -5,16 +5,9 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import experiments
 from .errors import StefansimError
-from .experiments import load_config, run_converge, run_lemma_suite, run_simulate, run_stefan_oracle
-from .experiments.config import parse_seeds, resolve
-
-_MODES = {
-    "simulate": run_simulate,
-    "converge": run_converge,
-    "stefan-oracle": run_stefan_oracle,
-    "lemma-suite": run_lemma_suite,
-}
+from .experiments.config import MODES, load_config, parse_seeds, resolve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,7 +16,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte Carlo harness for a stochastic moving-boundary solver",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for name in _MODES:
+    for name in MODES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
@@ -48,7 +41,8 @@ def main(argv=None) -> int:
         for w in cfg.warnings:
             print(f"warning: {w}", file=sys.stderr)
 
-        result = _MODES[args.mode](cfg)
+        # mode "stefan-oracle" runs experiments.run_stefan_oracle, and so on
+        result = getattr(experiments, "run_" + args.mode.replace("-", "_"))(cfg)
         if args.mode == "converge":
             print(f"fitted slope: {result.slope:.4f}")
             for row in result.rows():

@@ -25,7 +25,11 @@ from ..coefficients import TruncationSpec
 
 INF = math.inf
 
-_MODES = ("simulate", "converge", "stefan-oracle", "lemma-suite")
+MODES = ("simulate", "converge", "stefan-oracle", "lemma-suite")
+
+# Relative tolerance on T/dt being a whole number of steps: admits the rounding
+# of decimal inputs such as 0.25/2e-3 = 125.00000000000001.
+_STEPS_RTOL = 1e-9
 
 
 def _require(d: dict, key: str, where: str):
@@ -34,16 +38,36 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _as_int(value, what: str) -> int:
+    """A whole number from an int, an integral float or a decimal string; ConfigError otherwise."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def parse_seeds(spec) -> list:
-    """Seed list from a list, an integer count, or an inclusive range 'a..b'."""
+    """Nonempty seed list from a list, an integer count, or an inclusive range 'a..b'."""
     if isinstance(spec, list):
-        return [int(s) for s in spec]
-    if isinstance(spec, int):
-        return list(range(spec))
-    if isinstance(spec, str) and ".." in spec:
-        a, b = spec.split("..")
-        return list(range(int(a), int(b) + 1))
-    raise ConfigError(f"cannot parse seeds from {spec!r}")
+        seeds = [_as_int(s, "seed") for s in spec]
+    elif isinstance(spec, int) and not isinstance(spec, bool):
+        seeds = list(range(spec))
+    elif isinstance(spec, str) and ".." in spec:
+        a, b = spec.split("..", 1)
+        seeds = list(range(_as_int(a, "seed"), _as_int(b, "seed") + 1))
+    else:
+        raise ConfigError(f"cannot parse seeds from {spec!r}")
+    if not seeds:
+        raise ConfigError(f"seeds {spec!r} select no seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {spec!r}")
+    return seeds
 
 
 def parse_family(spec) -> list:
@@ -52,7 +76,7 @@ def parse_family(spec) -> list:
         if n in ("inf", ".inf", "infinity") or (isinstance(n, float) and math.isinf(n)):
             out.append(INF)
         else:
-            n = int(n)
+            n = _as_int(n, "family entry")
             if n <= 0:
                 raise ConfigError(f"family entries must be positive, got {n}")
             out.append(n)
@@ -189,8 +213,8 @@ class ExperimentConfig:
 
 def resolve(raw: dict) -> ExperimentConfig:
     mode = raw.get("mode", "simulate")
-    if mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
     grid = build_grid(_require(raw, "grid", "config"))
     initial_d = raw.get("initial", {"kind": "zero"})
@@ -201,9 +225,13 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     sd = _require(raw, "solve", "config")
     trunc_r = sd.get("truncation_r")
+    dt = float(_require(sd, "dt", "solve"))
+    T = float(_require(sd, "T", "solve"))
+    if dt > 0 and abs(T / dt - round(T / dt)) > _STEPS_RTOL * (T / dt):
+        raise ConfigError(f"T = {T} is not a whole number of steps dt = {dt}")
     solve_cfg = SolveConfig(
-        dt=float(_require(sd, "dt", "solve")),
-        T=float(_require(sd, "T", "solve")),
+        dt=dt,
+        T=T,
         n=INF,
         truncation=None if trunc_r is None else TruncationSpec(float(trunc_r)),
         explosion_radius=float(sd.get("R_max", 1e6)),

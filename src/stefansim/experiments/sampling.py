@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dst
 
 from ..grids import Grid, GridFunction, State
-
-
-def _from_modes(coeffs: np.ndarray, M: int) -> np.ndarray:
-    return dst(coeffs, type=1) / (2.0 * (M + 1))
+from ..operators import _dirichlet_eigenvalues, _from_modes, _to_modes
 
 
 def smooth_gridfunction(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> GridFunction:
@@ -26,9 +22,8 @@ def rough_h2_gridfunction(rng: np.random.Generator, grid: Grid, sigma: float = 1
     in the discrete H2 class but has no extra smoothness, which is the regime
     where the 1/sqrt(n) interface-gap rate is sharp.
     """
-    lam = (4.0 / grid.h**2) * np.sin(np.arange(1, grid.M + 1) * np.pi * grid.h / (2.0 * grid.L)) ** 2
     w = sigma * rng.standard_normal(grid.M)
-    f_hat = -dst(w, type=1) / lam
+    f_hat = -_to_modes(w) / _dirichlet_eigenvalues(grid)
     return GridFunction(grid, _from_modes(f_hat, grid.M))
 
 

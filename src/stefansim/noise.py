@@ -5,12 +5,25 @@ variates on an ambient real-line grid; the coloring kernel turns it into the
 increment of the driving field xi at arbitrary points by quadrature of
 integral of zeta(x, y) dW(y).  Kernels are evaluated in closed form at the
 shifted points p +/- x_i, so no interpolation error enters the noise.
+
+For the Gaussian kernel the closed form factors exactly.  With c the window
+midpoint, delta = p - c and u_j = y_j - c,
+
+    zeta(p +/- x_i, y_j) = Z_ij exp(-/+ delta x_i / s^2) exp(delta u_j / s^2)
+                           exp(-delta^2 / (2 s^2)),   Z_ij = zeta(c +/- x_i, y_j),
+
+so ``color_field`` costs one product of the fixed (2M x J) matrix Z, cached
+per geometry, with a vector of J exponentials, scaled by 2M exponentials.
+Where those factors could grow large enough to cost accuracy (see
+``_MAX_EXPONENT``), and for any other kernel, the direct form ``color_at`` is
+used instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,7 +37,6 @@ __all__ = [
     "gaussian_kernel",
     "NoiseIncrement",
     "NoiseStream",
-    "sample_increment",
     "color_at",
     "color_field",
 ]
@@ -62,10 +74,13 @@ class Kernel:
 
     ``zeta`` must accept broadcasting arrays (x, y).  The profile is used for
     construction-time validation and as the analytic-variance oracle in tests.
+    ``scale`` is set only for the Gaussian kernel of that width, and lets
+    ``color_field`` use the factorized form.
     """
 
     zeta: Callable[[np.ndarray, np.ndarray], np.ndarray]
     l2_profile: np.ndarray = field(repr=False)
+    scale: Optional[float] = None
 
     @classmethod
     def build(cls, zeta, ambient: AmbientGrid) -> "Kernel":
@@ -77,19 +92,24 @@ class Kernel:
         return cls(zeta=zeta, l2_profile=profile)
 
 
-def gaussian_kernel(scale: float, ambient: Optional[AmbientGrid] = None):
-    """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2))."""
-    if scale <= 0:
-        raise ValueError("kernel scale must be positive")
+def _gaussian(scale: float):
     c = 1.0 / math.sqrt(2.0 * math.pi * scale * scale)
 
     def zeta(x, y):
         d = np.asarray(x) - np.asarray(y)
         return c * np.exp(-d * d / (2.0 * scale * scale))
 
+    return zeta
+
+
+def gaussian_kernel(scale: float, ambient: Optional[AmbientGrid] = None):
+    """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2))."""
+    if scale <= 0:
+        raise ValueError("kernel scale must be positive")
+    zeta = _gaussian(scale)
     if ambient is None:
         return zeta
-    return Kernel.build(zeta, ambient)
+    return replace(Kernel.build(zeta, ambient), scale=scale)
 
 
 @dataclass(frozen=True)
@@ -125,10 +145,6 @@ class NoiseStream:
         return NoiseIncrement(dW=dW, step_index=step_index, dt=dt)
 
 
-def sample_increment(stream: NoiseStream, step_index: int, dt: float, ambient: AmbientGrid) -> NoiseIncrement:
-    return stream.increment(step_index, dt, ambient)
-
-
 def color_at(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, x):
     """Increment of the colored field at x: quadrature of zeta(x, .) against dW."""
     xs = np.asarray(x, dtype=float)
@@ -139,13 +155,51 @@ def color_at(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, x):
     return out
 
 
+# Largest admissible bound D W / s^2 on the exponents of the factorized form,
+# where W is the window half-width and D = W - L the largest |delta| the window
+# admits.  Each exponent is rounded with a relative error of about 1e-16, which
+# a factor e^a turns into a relative error of about |a| * 1e-16 in the weight,
+# so at 60 the weights stay within about 1e-14 of the direct form.  It also
+# keeps every factor below e^60, far from overflow: with sigma = 0 an infinite
+# factor would turn the colored increment into 0 * inf = NaN.
+_MAX_EXPONENT = 60.0
+
+
+@lru_cache(maxsize=8)
+def _gaussian_factors(scale: float, ambient: AmbientGrid, grid: Grid):
+    """(Z, rows, cols, centre) of the factorized Gaussian coloring, or None.
+
+    ``rows`` holds +x_i then -x_i and ``cols`` holds u_j = y_j - centre; None
+    means the geometry exceeds ``_MAX_EXPONENT`` and needs the direct form.
+    """
+    half_width = 0.5 * (ambient.x_hi - ambient.x_lo)
+    if (half_width - grid.L) * half_width / (scale * scale) > _MAX_EXPONENT:
+        return None
+    centre = 0.5 * (ambient.x_lo + ambient.x_hi)
+    xs = grid.nodes
+    rows = np.concatenate((xs, -xs))
+    cols = ambient.nodes - centre
+    Z = _gaussian(scale)(centre + rows[:, None], ambient.nodes[None, :])
+    for a in (Z, rows, cols):
+        a.setflags(write=False)
+    return Z, rows, cols, centre
+
+
 def color_field(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, p: float, grid: Grid):
     """Colored increments at p + x_i and p - x_i for the two phases."""
     if not ambient.covers(p, grid.L):
         raise BoundaryLeftWindow(
             f"boundary at {p} with half-width {grid.L} leaves window [{ambient.x_lo}, {ambient.x_hi}]"
         )
-    xs = grid.nodes
-    xi_plus = color_at(kernel, ambient, inc, p + xs)
-    xi_minus = color_at(kernel, ambient, inc, p - xs)
-    return xi_plus, xi_minus
+    factors = None if kernel.scale is None else _gaussian_factors(kernel.scale, ambient, grid)
+    if factors is None:
+        xs = grid.nodes
+        xi_plus = color_at(kernel, ambient, inc, p + xs)
+        xi_minus = color_at(kernel, ambient, inc, p - xs)
+        return xi_plus, xi_minus
+    Z, rows, cols, centre = factors
+    delta = p - centre
+    a = delta / (kernel.scale * kernel.scale)
+    out = Z @ (np.exp(a * cols) * inc.dW)
+    out *= ambient.dy * np.exp(-a * (rows + 0.5 * delta))
+    return out[: grid.M], out[grid.M :]

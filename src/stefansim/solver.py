@@ -14,8 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import coefficients
 from .coefficients import CoefficientSet, TruncationSpec, diffusion_C, drift_B
-from .errors import NonFiniteState
+from .errors import BoundaryLeftWindow, NonFiniteState
 from .grids import State, state_norm
 from .noise import AmbientGrid, NoiseIncrement, NoiseStream
 from .operators import SpectralOperator, apply_semigroup_factors, semigroup_factors
@@ -49,8 +50,8 @@ class SolveConfig:
 class ExitEvent:
     step: int
     time: float
-    threshold: float
-    kind: str  # "radius" or "nonfinite"
+    threshold: float  # the explosion radius for "radius", inf otherwise
+    kind: str  # "radius", "nonfinite" or "window" (boundary left the noise window)
 
 
 @dataclass
@@ -84,13 +85,25 @@ def step(
     inc: NoiseIncrement,
     ambient: AmbientGrid,
     factors=None,
+    norm_h2: Optional[float] = None,
 ) -> State:
-    """One exponential-Euler step; deterministic given (X, inc)."""
+    """One exponential-Euler step; deterministic given (X, inc).
+
+    ``norm_h2`` is the H2-state norm of X, if the caller already has it; the
+    cutoff factor is evaluated once from it and applied to drift and diffusion.
+    """
     if factors is None:
         factors = semigroup_factors(op, cfg.dt)
-    Y = X + cfg.dt * drift_B(c, X, cfg.n, cfg.truncation) + diffusion_C(
-        c, X, inc, ambient, cfg.truncation
-    )
+    drift = drift_B(c, X, cfg.n)
+    noise = diffusion_C(c, X, inc, ambient)
+    if cfg.truncation is not None:
+        if norm_h2 is None:
+            norm_h2 = state_norm(X, "H2")
+        # looked up on the module so that a wrapper of coefficients.h_r sees the call
+        f = coefficients.h_r(cfg.truncation, norm_h2**2)
+        if f != 1.0:
+            drift, noise = f * drift, f * noise
+    Y = X + cfg.dt * drift + noise
     out = apply_semigroup_factors(op, factors, Y)
     if not out.is_finite():
         raise NonFiniteState(f"non-finite state after step at index {inc.step_index}")
@@ -105,12 +118,16 @@ def solve(
     stream: NoiseStream,
     ambient: AmbientGrid,
 ) -> Trajectory:
-    """Iterate steps until the horizon, an explosion or a non-finite value.
+    """Iterate steps until the horizon, an explosion, a non-finite value or
+    the boundary leaving the noise window.
 
     All recorded values are finite: the step that produces a non-finite state
-    is flagged as the exit and not recorded.  With truncated coefficients the
-    drift and diffusion are bounded, so runs only stop early at the explosion
-    radius if that radius was set inside the cutoff ball.
+    is flagged as the exit and not recorded.  A state whose boundary has left
+    the ambient window cannot be stepped; it ends the path as a "window" exit
+    and is recorded as the last state, like the state crossing the explosion
+    radius.  With truncated coefficients the drift and diffusion are bounded,
+    so runs only stop early at the explosion radius if that radius was set
+    inside the cutoff ball.
     """
     times = [0.0]
     states = [X0]
@@ -119,13 +136,21 @@ def solve(
     factors = semigroup_factors(op, cfg.dt)
 
     X = X0
+    nrm = norms[0]
     for k in range(cfg.num_steps):
         inc = stream.increment(k, cfg.dt, ambient)
         t_next = (k + 1) * cfg.dt
         try:
-            X = step(op, c, cfg, X, inc, ambient, factors=factors)
+            X = step(op, c, cfg, X, inc, ambient, factors=factors, norm_h2=nrm)
         except NonFiniteState:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
+            break
+        except BoundaryLeftWindow:
+            t_exit = k * cfg.dt
+            exit_event = ExitEvent(step=k, time=t_exit, threshold=math.inf, kind="window")
+            if times[-1] != t_exit:
+                times.append(t_exit)
+                states.append(X)
             break
         nrm = state_norm(X, "H2")
         norms.append(nrm)
@@ -155,6 +180,7 @@ def exit_times(traj: Trajectory, r: float):
 
     Both are computed from the same per-step norm sequence; the pair differs
     only on exact-threshold hits.  Returns math.inf where no crossing occurs.
+    A "window" exit is not a norm crossing and does not count.
     """
     if not r > 0:
         raise ValueError("radius must be positive")

@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stefansim.errors import ConfigError
 from stefansim.experiments import (
@@ -53,6 +55,42 @@ def test_parse_family():
         parse_family([0])
 
 
+@given(st.integers(0, 10**6), st.integers(-50, 50))
+def test_parse_seeds_range_property(a, span):
+    b = a + span
+    if b < a:
+        with pytest.raises(ConfigError):
+            parse_seeds(f"{a}..{b}")
+    else:
+        assert parse_seeds(f"{a}..{b}") == list(range(a, b + 1))
+
+
+@given(st.lists(st.integers(0, 10**9), min_size=1))
+def test_parse_seeds_list_property(seeds):
+    assert parse_seeds(seeds) == seeds
+    assert parse_seeds([float(s) for s in seeds]) == seeds
+    assert parse_seeds(len(seeds)) == list(range(len(seeds)))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()))
+def test_parse_seeds_rejects_non_integers(x):
+    with pytest.raises(ConfigError):
+        parse_seeds([0, x])
+
+
+@given(st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), min_size=1))
+def test_parse_family_property(family):
+    out = parse_family(family)
+    assert out == [math.inf if n == "inf" else n for n in family]
+    assert all(isinstance(n, int) for n in out if n != math.inf)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()))
+def test_parse_family_rejects_non_integers(x):
+    with pytest.raises(ConfigError):
+        parse_family([8, x, "inf"])
+
+
 def test_config_validation(tmp_path):
     raw = base_raw(tmp_path)
     raw["mode"] = "nonsense"
@@ -73,6 +111,24 @@ def test_config_validation(tmp_path):
     del raw["solve"]
     with pytest.raises(ConfigError):
         resolve(raw)
+
+    raw = base_raw(tmp_path)
+    raw["seeds"] = "5..2"  # empty range
+    with pytest.raises(ConfigError):
+        resolve(raw)
+
+    raw = base_raw(tmp_path)
+    raw["family"] = [4.7, "inf"]
+    with pytest.raises(ConfigError):
+        resolve(raw)
+
+    raw = base_raw(tmp_path)
+    raw["solve"].update(T=1.0, dt=0.3)  # T/dt is not a whole number of steps
+    with pytest.raises(ConfigError):
+        resolve(raw)
+    for T, dt, steps in ((0.25, 2e-3, 125), (0.25, 1e-4, 2500)):
+        raw["solve"].update(T=T, dt=dt)
+        assert resolve(raw).solve.num_steps == steps
 
 
 def test_load_config_yaml(tmp_path):
@@ -121,6 +177,25 @@ def test_simulate_trajectory_columns(tmp_path):
     assert header == ["t", "p", "norm_L2", "norm_H1", "norm_H2", "trace_grad_u1", "trace_grad_u2"]
     meta = json.loads((tmp_path / "traj_n8_seed0_exit.json").read_text())
     assert meta["exited"] is False
+
+
+def test_window_exit_does_not_abort_study(tmp_path):
+    # rho0 = 20 moves p by about 0.08 in the first step, past a 0.05 pad
+    raw = base_raw(tmp_path / "sim")
+    raw["model"]["rho"] = {"name": "linear", "rho0": 20.0}
+    raw["ambient"]["pad"] = 0.05
+    metas = run_simulate(resolve(raw))
+    assert len(metas) == 4
+    assert all(m["exited"] and m["exit"]["kind"] == "window" for m in metas)
+    meta = json.loads((tmp_path / "sim" / "traj_n8_seed0_exit.json").read_text())
+    assert meta["exit"]["kind"] == "window"
+
+    raw = dict(raw, mode="converge", family=[4, 8, 16, "inf"], outputs=str(tmp_path / "conv"))
+    rep = run_converge(resolve(raw))
+    for n in rep.family:
+        assert all(rep.exploded[n])
+        # only the initial state lies before the exit, and it is shared
+        assert rep.h1_dist[n] == [0.0, 0.0]
 
 
 def test_common_noise_across_family(tmp_path):

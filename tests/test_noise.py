@@ -5,7 +5,7 @@ import pytest
 
 from stefansim import AmbientGrid, Grid, NoiseIncrement, NoiseStream, gaussian_kernel
 from stefansim.errors import BoundaryLeftWindow
-from stefansim.noise import color_at, color_field, sample_increment
+from stefansim.noise import _gaussian_factors, color_at, color_field
 
 
 @pytest.fixture
@@ -130,13 +130,68 @@ def test_color_field_window_and_symmetry(kernel, ambient):
         color_field(kernel, ambient, inc, 2.5, grid)
 
 
+# The factorized coloring rounds differently from the direct quadrature; it
+# measures about 3e-15 relative, while a one-cell shift is an order-one error.
+FACTORIZED_RTOL = 1e-13
+
+
+def _max_rel_error(kernel, ambient, inc, p, grid):
+    xp, xm = color_field(kernel, ambient, inc, p, grid)
+    dp = color_at(kernel, ambient, inc, p + grid.nodes)
+    dm = color_at(kernel, ambient, inc, p - grid.nodes)
+    scale = max(np.max(np.abs(dp)), np.max(np.abs(dm)))
+    return max(np.max(np.abs(xp - dp)), np.max(np.abs(xm - dm))) / scale
+
+
 def test_color_field_translation_consistency(kernel, ambient):
     grid = Grid(1.0, 31)
     inc = NoiseStream(seed=6).increment(0, 0.01, ambient)
     p, delta = 0.2, 0.37
     xp, _ = color_field(kernel, ambient, inc, p + delta, grid)
     direct = color_at(kernel, ambient, inc, p + delta + grid.nodes)
-    assert np.array_equal(xp, direct)
+    assert np.max(np.abs(xp - direct)) <= FACTORIZED_RTOL * np.max(np.abs(direct))
+
+
+# (L, M, pad, J): the example config (M=127, J=121) and the Stefan config (M=255, J=221)
+GEOMETRIES = [(2.0, 127, 1.0, 121), (4.0, 255, 1.5, 221)]
+
+
+@pytest.mark.parametrize("scale", [0.3, 0.5])
+@pytest.mark.parametrize("L, M, pad, J", GEOMETRIES)
+def test_factorized_coloring_matches_direct_across_window(L, M, pad, J, scale):
+    grid = Grid(L, M)
+    ambient = AmbientGrid(-L - pad, L + pad, J)
+    kernel = gaussian_kernel(scale, ambient)
+    # both configs use scale 0.5; at 0.3 the Stefan window exceeds the bound
+    fast = _gaussian_factors(scale, ambient, grid) is not None
+    assert fast == (scale == 0.5 or L == 2.0)
+    inc = NoiseStream(seed=11).increment(3, 1e-3, ambient)
+    worst = max(_max_rel_error(kernel, ambient, inc, p, grid) for p in np.linspace(-pad, pad, 41))
+    assert worst <= FACTORIZED_RTOL
+
+
+def test_factorized_coloring_fallback_is_direct(ambient):
+    # D W / s^2 = 2 * 3 / 0.05^2 is far above the bound: the direct form runs
+    grid = Grid(1.0, 31)
+    kernel = gaussian_kernel(0.05, ambient)
+    assert _gaussian_factors(0.05, ambient, grid) is None
+    inc = NoiseStream(seed=4).increment(0, 0.01, ambient)
+    xp, xm = color_field(kernel, ambient, inc, 0.4, grid)
+    assert np.array_equal(xp, color_at(kernel, ambient, inc, 0.4 + grid.nodes))
+    assert np.array_equal(xm, color_at(kernel, ambient, inc, 0.4 - grid.nodes))
+
+
+def test_factorized_coloring_window_edges(kernel, ambient):
+    grid = Grid(1.0, 31)
+    assert _gaussian_factors(0.5, ambient, grid) is not None
+    inc = NoiseStream(seed=8).increment(0, 0.01, ambient)
+    for p in (ambient.x_lo + grid.L, ambient.x_hi - grid.L):
+        xp, xm = color_field(kernel, ambient, inc, p, grid)
+        assert np.all(np.isfinite(xp)) and np.all(np.isfinite(xm))
+        assert _max_rel_error(kernel, ambient, inc, p, grid) <= FACTORIZED_RTOL
+    for p in (ambient.x_lo + grid.L - 1e-9, ambient.x_hi - grid.L + 1e-9):
+        with pytest.raises(BoundaryLeftWindow):
+            color_field(kernel, ambient, inc, p, grid)
 
 
 def test_kernel_profile_finite(ambient):

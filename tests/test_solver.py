@@ -30,7 +30,7 @@ from stefansim.coefficients import (
     sigma_affine,
     sigma_zero,
 )
-from stefansim.solver import Trajectory
+from stefansim.solver import ExitEvent, Trajectory
 
 
 @pytest.fixture
@@ -189,11 +189,34 @@ def test_exit_times_sequences():
     with pytest.raises(ValueError):
         exit_times(below, 0.0)
 
+    # leaving the noise window is not a norm crossing; a non-finite step is
+    for kind, expected in (("window", (math.inf, math.inf)), ("nonfinite", (0.5, 0.5))):
+        event = ExitEvent(step=1, time=0.5, threshold=math.inf, kind=kind)
+        t = Trajectory(dt=0.5, times=np.array([0.0]), states=[], norm_h2=np.array([0.1, 0.2]), exit=event)
+        assert exit_times(t, r) == expected
+
     rng = np.random.default_rng(0)
     for _ in range(50):
         t = Trajectory(dt=0.1, times=np.array([0.0]), states=[], norm_h2=np.abs(rng.standard_normal(20)), exit=None)
         s, tau = exit_times(t, 0.8)
         assert s <= tau
+
+
+def test_boundary_leaving_window_ends_path(grid):
+    # strong interface transport pushes p out of a narrow window within a few steps
+    ambient = AmbientGrid(-grid.L - 0.05, grid.L + 0.05, 43)
+    model = make_model(ambient, rho=rho_linear(20.0))
+    op = SpectralOperator(grid, 1.0, 1.0)
+    cfg = SolveConfig(dt=2e-3, T=0.1, n=INF, record_every=5)
+    f = GridFunction.from_callable(grid, lambda x: x * np.exp(-4.0 * x * x))
+    traj = solve(op, model, cfg, State(f, GridFunction.zero(grid), 0.0), NoiseStream(seed=0), ambient)
+    assert traj.exited and traj.exit.kind == "window"
+    k = traj.exit.step
+    assert 0 < k < cfg.num_steps
+    assert len(traj.norm_h2) == k + 1
+    assert traj.times[-1] == traj.exit.time == k * cfg.dt
+    assert not ambient.covers(traj.final_state.p, grid.L)
+    assert all(ambient.covers(X.p, grid.L) for X in traj.states[:-1])
 
 
 def test_mild_vs_strong_identity(grid, ambient):
