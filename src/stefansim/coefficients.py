@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WindowUnresolved
-from .grids import GridFunction, State, d1, norm, state_norm, trace_grad, window_mean
+from .grids import Grid, GridFunction, State, diff1, interface_weights, state_norm
 from .noise import AmbientGrid, Kernel, NoiseIncrement, color_field
 
 __all__ = [
@@ -23,9 +23,13 @@ __all__ = [
     "TruncationSpec",
     "N_mu",
     "Psi_n",
-    "grad_bar",
     "drift_B",
     "diffusion_C",
+    "transport_direction",
+    "reaction",
+    "interface_speed",
+    "drift_rows",
+    "diffusion_rows",
     "h_r",
     "psi_gap_bound",
     "mu_zero",
@@ -98,40 +102,79 @@ def h_r(spec: TruncationSpec, s: float) -> float:
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def N_mu(c: CoefficientSet, X: State) -> State:
-    """Pointwise reaction (mu+(x, u1, u1'), mu-(-x, u2, -u2'), 0)."""
-    g = X.grid
-    x = g.nodes
-    s1 = c.mu_plus(x, X.u1.values, d1(X.u1).values)
-    s2 = c.mu_minus(-x, X.u2.values, -d1(X.u2).values)
-    return State(
-        GridFunction(g, np.broadcast_to(s1, (g.M,))),
-        GridFunction(g, np.broadcast_to(s2, (g.M,))),
-        0.0,
-    )
+def transport_direction(U: np.ndarray, h: float) -> np.ndarray:
+    """Phase rows (u1', -u2') of the transport direction grad_bar = (u1', -u2', 1) of U (2, M+2)."""
+    g = diff1(U, h)
+    g[1] *= -1.0
+    return g
 
 
-def Psi_n(c: CoefficientSet, X: State, n) -> float:
-    """Interface speed: windowed volume imbalance for finite n, gradient jump at n = inf."""
-    if n == INF:
-        return float(c.rho(trace_grad(X.u1), -trace_grad(X.u2)))
-    return float(c.rho(window_mean(X.u1, n), -window_mean(X.u2, n)))
+def reaction(c: CoefficientSet, U: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
+    """Phase rows mu+(x, u1, u1') and mu-(-x, u2, -u2') of N_mu; g from transport_direction."""
+    x = grid.nodes
+    out = np.empty_like(g)
+    out[0] = c.mu_plus(x, U[0, 1:-1], g[0])
+    out[1] = c.mu_minus(-x, U[1, 1:-1], g[1])
+    return out
 
 
-def grad_bar(X: State) -> State:
-    """Transport direction (u1', -u2', 1)."""
-    return State(d1(X.u1), -1.0 * d1(X.u2), 1.0)
+def interface_speed(c: CoefficientSet, U: np.ndarray, w: np.ndarray) -> float:
+    """Psi_n = rho(w . u1, -(w . u2)) for the interface weights w = interface_weights(grid, n)."""
+    a, b = (U @ w).tolist()
+    return float(c.rho(a, -b))
 
 
-def drift_B(c: CoefficientSet, X: State, n, spec: Optional[TruncationSpec] = None) -> State:
-    """Full drift N_mu + Psi_n * grad_bar + Id, optionally cut off outside the norm ball."""
-    psi = Psi_n(c, X, n)
-    out = N_mu(c, X) + psi * grad_bar(X) + X
+def drift_rows(c: CoefficientSet, U: np.ndarray, p: float, g: np.ndarray, w: np.ndarray, grid: Grid):
+    """Drift N_mu + Psi_n * grad_bar + Id at the state (U, p): phase rows (2, M) and p component."""
+    psi = interface_speed(c, U, w)
+    out = psi * g
+    out += reaction(c, U, g, grid)
+    out += U[:, 1:-1]
+    return out, psi + p
+
+
+def diffusion_rows(
+    c: CoefficientSet, U: np.ndarray, p: float, inc: NoiseIncrement, ambient: AmbientGrid, grid: Grid
+) -> np.ndarray:
+    """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0."""
+    xi = color_field(c.kernel, ambient, inc, p, grid)
+    x = grid.nodes
+    out = np.empty_like(xi)
+    out[0] = c.sigma_plus(x, U[0, 1:-1])
+    out[1] = c.sigma_minus(-x, U[1, 1:-1])
+    out *= xi
+    return out
+
+
+def _state(grid: Grid, rows: np.ndarray, p: float) -> State:
+    return State(GridFunction(grid, rows[0]), GridFunction(grid, rows[1]), p)
+
+
+def _cut(spec: Optional[TruncationSpec], X: State, out: State) -> State:
     if spec is not None:
         f = h_r(spec, state_norm(X, "H2") ** 2)
         if f != 1.0:
             out = f * out
     return out
+
+
+def N_mu(c: CoefficientSet, X: State) -> State:
+    """Pointwise reaction (mu+(x, u1, u1'), mu-(-x, u2, -u2'), 0)."""
+    U = X.padded()
+    return _state(X.grid, reaction(c, U, transport_direction(U, X.grid.h), X.grid), 0.0)
+
+
+def Psi_n(c: CoefficientSet, X: State, n) -> float:
+    """Interface speed: windowed volume imbalance for finite n, gradient jump at n = inf."""
+    return interface_speed(c, X.padded(), interface_weights(X.grid, n))
+
+
+def drift_B(c: CoefficientSet, X: State, n, spec: Optional[TruncationSpec] = None) -> State:
+    """Full drift N_mu + Psi_n * grad_bar + Id, optionally cut off outside the norm ball."""
+    U = X.padded()
+    g = transport_direction(U, X.grid.h)
+    rows, dp = drift_rows(c, U, X.p, g, interface_weights(X.grid, n), X.grid)
+    return _cut(spec, X, _state(X.grid, rows, dp))
 
 
 def diffusion_C(
@@ -142,17 +185,8 @@ def diffusion_C(
     spec: Optional[TruncationSpec] = None,
 ) -> State:
     """Multiplicative noise increment (sigma+(x, u1) xi+, sigma-(-x, u2) xi-, 0)."""
-    g = X.grid
-    xi_plus, xi_minus = color_field(c.kernel, ambient, inc, X.p, g)
-    x = g.nodes
-    s1 = np.broadcast_to(c.sigma_plus(x, X.u1.values), (g.M,)) * xi_plus
-    s2 = np.broadcast_to(c.sigma_minus(-x, X.u2.values), (g.M,)) * xi_minus
-    out = State(GridFunction(g, s1), GridFunction(g, s2), 0.0)
-    if spec is not None:
-        f = h_r(spec, state_norm(X, "H2") ** 2)
-        if f != 1.0:
-            out = f * out
-    return out
+    rows = diffusion_rows(c, X.padded(), X.p, inc, ambient, X.grid)
+    return _cut(spec, X, _state(X.grid, rows, 0.0))
 
 
 def psi_gap_bound(c: CoefficientSet, X: State, n: int):

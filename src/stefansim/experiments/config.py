@@ -27,10 +27,6 @@ INF = math.inf
 
 MODES = ("simulate", "converge", "stefan-oracle", "lemma-suite")
 
-# Relative tolerance on T/dt being a whole number of steps: admits the rounding
-# of decimal inputs such as 0.25/2e-3 = 125.00000000000001.
-_STEPS_RTOL = 1e-9
-
 
 def _require(d: dict, key: str, where: str):
     if key not in d:
@@ -225,18 +221,17 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     sd = _require(raw, "solve", "config")
     trunc_r = sd.get("truncation_r")
-    dt = float(_require(sd, "dt", "solve"))
-    T = float(_require(sd, "T", "solve"))
-    if dt > 0 and abs(T / dt - round(T / dt)) > _STEPS_RTOL * (T / dt):
-        raise ConfigError(f"T = {T} is not a whole number of steps dt = {dt}")
-    solve_cfg = SolveConfig(
-        dt=dt,
-        T=T,
-        n=INF,
-        truncation=None if trunc_r is None else TruncationSpec(float(trunc_r)),
-        explosion_radius=float(sd.get("R_max", 1e6)),
-        record_every=int(sd.get("record_every", 1)),
-    )
+    try:
+        solve_cfg = SolveConfig(
+            dt=float(_require(sd, "dt", "solve")),
+            T=float(_require(sd, "T", "solve")),
+            n=INF,
+            truncation=None if trunc_r is None else TruncationSpec(float(trunc_r)),
+            explosion_radius=float(sd.get("R_max", 1e6)),
+            record_every=int(sd.get("record_every", 1)),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid solve section: {exc}") from exc
 
     family = parse_family(raw.get("family", [INF]))
     for n in family:

@@ -37,20 +37,27 @@ from .sampling import rough_state, smooth_gridfunction, smooth_state
 INF = math.inf
 
 
+PASS, FAIL, SKIP = "pass", "FAIL", "skip"
+
+
 @dataclass
 class LemmaResult:
     name: str
-    passed: bool
+    status: str  # PASS, FAIL or SKIP; a skipped check was not run and did not pass
     worst: float
     allowed: float
     detail: str = ""
 
+    @property
+    def passed(self) -> bool:
+        return self.status == PASS
+
     def row(self):
-        return [self.name, "pass" if self.passed else "FAIL", f"{self.worst:.6g}", f"{self.allowed:.6g}", self.detail]
+        return [self.name, self.status, f"{self.worst:.6g}", f"{self.allowed:.6g}", self.detail]
 
 
 def _result(name, worst, allowed, detail=""):
-    return LemmaResult(name, bool(worst <= allowed), float(worst), float(allowed), detail)
+    return LemmaResult(name, PASS if worst <= allowed else FAIL, float(worst), float(allowed), detail)
 
 
 def _resolvable(grid: Grid, family):
@@ -70,7 +77,7 @@ def check_intnorm(rng, grid, samples, family):
     """|integral over [0, 1/n]| <= (1/n)^2 |f|_H2 (1 + 10h), shrinking slack on refinement."""
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("intnorm_window", False, math.inf, 0.0, "no resolvable n")
+        return LemmaResult("intnorm_window", FAIL, math.inf, 0.0, "no resolvable n")
 
     def worst_ratio(g: Grid):
         w = 0.0
@@ -93,7 +100,7 @@ def check_intnorm(rng, grid, samples, family):
     ok_fine = fine <= 1.0 + 10.0 * fine_grid.h
     return LemmaResult(
         "intnorm_window",
-        ok_coarse and ok_fine,
+        PASS if ok_coarse and ok_fine else FAIL,
         max(coarse, fine),
         1.0 + 10.0 * grid.h,
         f"coarse={coarse:.4g} fine={fine:.4g}",
@@ -230,7 +237,7 @@ def _diffusion_hs_scale(c: CoefficientSet, X: State, ambient: AmbientGrid) -> fl
 def check_equilip(rng, model, op, grid, samples, family):
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("psi_uniform_lipschitz", False, math.inf, 0.0, "no resolvable n")
+        return LemmaResult("psi_uniform_lipschitz", FAIL, math.inf, 0.0, "no resolvable n")
     ka = K_A(op)
     r = 2.0
     worst = 0.0
@@ -255,7 +262,7 @@ def check_equilip(rng, model, op, grid, samples, family):
 def check_window_bound(rng, grid, samples, family):
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("window_arg_bound", False, math.inf, 0.0, "no resolvable n")
+        return LemmaResult("window_arg_bound", FAIL, math.inf, 0.0, "no resolvable n")
     worst = 0.0
     for _ in range(samples):
         f = smooth_gridfunction(rng, grid, decay=2.0)
@@ -296,11 +303,13 @@ def check_truncation_support(rng, model, grid, ambient, samples, family):
 
 
 def check_linear_growth(rng, model, grid, ambient, samples, family):
-    """Drift plus diffusion scale grows at most linearly, uniformly over n."""
-    if not (model.rho_bounded and model.sigma_affine_flag):
-        return LemmaResult(
-            "linear_growth", True, 0.0, 0.0, "skipped: model not in the bounded regime"
-        )
+    """Drift plus diffusion scale grows at most linearly, uniformly over n.
+
+    The bound assumes the bounded regime (bounded rho, affine sigma, mu with
+    bounded slopes); outside it the check is skipped, not passed.
+    """
+    if not (model.rho_bounded and model.sigma_affine_flag and model.mu_bounded_slopes):
+        return LemmaResult("linear_growth", SKIP, 0.0, 0.0, "model not in the bounded regime")
     ns = _resolvable(grid, family) + [INF]
     per_n = {}
     for n in ns:
@@ -325,7 +334,7 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
 def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
     ns = [n for n in gap_family if 1.0 / n >= 10.0 * grid.h]
     if not ns:
-        return LemmaResult("psi_gap_rate", False, math.inf, 0.0, "no n with 1/n >= 10h")
+        return LemmaResult("psi_gap_rate", FAIL, math.inf, 0.0, "no n with 1/n >= 10h")
     worst = 0.0
     medians = {}
     per_n = {n: [] for n in ns}
@@ -362,7 +371,8 @@ def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
         1.0,
         f"rough medians {medians}; smooth medians {smooth_medians}",
     )
-    res.passed = res.passed and ok_rate
+    if not ok_rate:
+        res.status = FAIL
     return res
 
 
@@ -385,7 +395,7 @@ def run_suite(
         try:
             out = fn()
         except WindowUnresolved as exc:
-            out = LemmaResult(name, False, math.inf, 0.0, f"WindowUnresolved: {exc}")
+            out = LemmaResult(name, FAIL, math.inf, 0.0, f"WindowUnresolved: {exc}")
         if isinstance(out, list):
             results.extend(out)
         else:

@@ -14,15 +14,15 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..coefficients import INF
-from ..grids import Grid, GridFunction, State, d2, norm, state_norm, trace_grad
+from ..grids import Grid, GridFunction, State, diff2, interface_weights, sq_norm
 from ..noise import NoiseStream
-from ..solver import SolveConfig, Trajectory, solve
+from ..solver import Trajectory, solve
 from ..transform import F_transform
 from . import lemma_suite
 from .config import ExperimentConfig, resolve
@@ -66,35 +66,50 @@ def _write_manifest(cfg: ExperimentConfig, extra: Optional[dict] = None):
         fh.write("\n")
 
 
-def _solve_cell(cfg: ExperimentConfig, n, seed: int) -> Trajectory:
-    scfg = SolveConfig(
-        dt=cfg.solve.dt,
-        T=cfg.solve.T,
-        n=n,
-        truncation=cfg.solve.truncation,
-        explosion_radius=cfg.solve.explosion_radius,
-        record_every=cfg.solve.record_every,
-    )
-    stream = NoiseStream(seed=seed)
+class _SharedStream:
+    """Draws each increment of ``stream`` once and replays that same increment to every later caller.
+
+    The members of an interface family on one seed read identical increments;
+    sharing the draw saves recomputing it per member.
+    """
+
+    def __init__(self, stream: NoiseStream):
+        self.stream = stream
+        self.seed = stream.seed
+        self._drawn = {}
+
+    def increment(self, step_index, dt, ambient):
+        key = (step_index, dt, ambient)
+        inc = self._drawn.get(key)
+        if inc is None:
+            inc = self._drawn[key] = self.stream.increment(step_index, dt, ambient)
+        return inc
+
+
+def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
+    scfg = replace(cfg.solve, n=n)
     return solve(cfg.operator, cfg.model, scfg, cfg.initial, stream, cfg.ambient)
 
 
+def _padded_phases(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """(records, 2, M+2) padded phase rows of dense state rows u1 | u2 | p."""
+    M = grid.M
+    out = np.zeros((len(values), 2, M + 2))
+    out[:, :, 1:-1] = values[:, : 2 * M].reshape(-1, 2, M)
+    return out
+
+
 def _write_trajectory_csv(path: str, traj: Trajectory):
+    h = traj.grid.h
+    V = _padded_phases(traj.grid, traj.values)
+    p = traj.values[:, -1]
+    norms = [np.sqrt(sq_norm(V, h, order, axis=(1, 2)) + p * p) for order in ("L2", "H1", "H2")]
+    traces = V @ interface_weights(traj.grid, INF)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "p", "norm_L2", "norm_H1", "norm_H2", "trace_grad_u1", "trace_grad_u2"])
-        for t, X in zip(traj.times, traj.states):
-            w.writerow(
-                [
-                    _fmt(t),
-                    _fmt(X.p),
-                    _fmt(state_norm(X, "L2")),
-                    _fmt(state_norm(X, "H1")),
-                    _fmt(state_norm(X, "H2")),
-                    _fmt(trace_grad(X.u1)),
-                    _fmt(trace_grad(X.u2)),
-                ]
-            )
+        for row in zip(traj.times, p, *norms, traces[:, 0], traces[:, 1]):
+            w.writerow([_fmt(v) for v in row])
 
 
 def _write_profile_csv(path: str, X: State):
@@ -119,7 +134,7 @@ def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
 
 def _simulate_cell(raw: dict, n, seed: int) -> dict:
     cfg = resolve(raw)
-    traj = _solve_cell(cfg, n, seed)
+    traj = _solve_cell(cfg, n, NoiseStream(seed=seed))
     label = _n_label(n)
     base = os.path.join(cfg.out_dir, f"traj_n{label}_seed{seed}")
     _write_trajectory_csv(base + ".csv", traj)
@@ -218,26 +233,29 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
     """Sup-over-time distances on the common pre-exit recorded window."""
 
     def usable(t: Trajectory) -> int:
-        k = len(t.states)
+        k = len(t.values)
         if t.exited:
             k -= 1  # the crossing state lies outside the half-open survival window
         return k
 
     kmax = min(usable(ref), usable(traj))
-    d_h1 = d_d2 = d_p = 0.0
-    for k in range(kmax):
-        A, B = ref.states[k], traj.states[k]
-        du1, du2 = A.u1 - B.u1, A.u2 - B.u2
-        d_h1 = max(d_h1, math.sqrt(norm(du1, "H1") ** 2 + norm(du2, "H1") ** 2))
-        d_d2 = max(d_d2, math.sqrt(norm(d2(du1), "L2") ** 2 + norm(d2(du2), "L2") ** 2))
-        d_p = max(d_p, abs(A.p - B.p))
+    if kmax == 0:
+        return 0.0, 0.0, 0.0
+    h = ref.grid.h
+    diff = ref.values[:kmax] - traj.values[:kmax]
+    V = _padded_phases(ref.grid, diff)
+    g2 = diff2(V, h)
+    d_h1 = math.sqrt(np.max(sq_norm(V, h, "H1", axis=(1, 2))))
+    d_d2 = math.sqrt(np.max(h * np.sum(g2 * g2, axis=(1, 2))))
+    d_p = float(np.max(np.abs(diff[:, -1])))
     return d_h1, d_d2, d_p
 
 
 def _converge_seed(raw: dict, seed: int) -> dict:
-    """All family members for one seed, all driven by the identical stream."""
+    """All family members for one seed, all driven by the identical increments, drawn once."""
     cfg = resolve(raw)
-    trajs = {n: _solve_cell(cfg, n, seed) for n in cfg.family}
+    stream = _SharedStream(NoiseStream(seed=seed))
+    trajs = {n: _solve_cell(cfg, n, stream) for n in cfg.family}
     ref = trajs[INF]
     out = {}
     for n in cfg.family:
@@ -369,14 +387,7 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
         mu_bounded_slopes=True,
     )
     op = SpectralOperator(cfg.grid, eta, eta)
-    scfg = SolveConfig(
-        dt=cfg.solve.dt,
-        T=cfg.solve.T,
-        n=INF,
-        truncation=None,
-        explosion_radius=cfg.solve.explosion_radius,
-        record_every=cfg.solve.record_every,
-    )
+    scfg = replace(cfg.solve, n=INF, truncation=None)
     traj = solve(op, model, scfg, X0, NoiseStream(seed=0), cfg.ambient)
 
     times = traj.times

@@ -8,12 +8,21 @@ consistent with the dynamics.
 
 A :class:`State` is the triple (u1, u2, p): right phase, reflected left
 phase and boundary position.
+
+``GridFunction`` and ``State`` are the API boundary.  The solver does not
+step them: it steps one contiguous padded buffer of shape (2, M+2) per path,
+rows u1 and u2 with zero end columns for the Dirichlet nodes, plus the
+scalar p.  The differences, norms and window functionals are written once,
+for padded arrays (``diff1``, ``diff2``, ``sq_norm``, ``interface_weights``);
+``d1``, ``d2``, ``norm``, ``state_norm``, ``trace_grad`` and ``window_mean``
+are thin adapters over them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,9 +34,14 @@ __all__ = [
     "State",
     "d1",
     "d2",
+    "diff1",
+    "diff2",
+    "interface_weights",
     "trace_grad",
     "window_mean",
     "norm",
+    "sq_norm",
+    "padded_state_norm",
     "state_norm",
 ]
 
@@ -49,10 +63,12 @@ class Grid:
     def h(self) -> float:
         return self.L / (self.M + 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        """Interior node positions x_i = i*h, i = 1..M."""
-        return self.h * np.arange(1, self.M + 1)
+        """Interior node positions x_i = i*h, i = 1..M (read-only)."""
+        x = self.h * np.arange(1, self.M + 1)
+        x.setflags(write=False)
+        return x
 
 
 def _as_values(grid: Grid, values) -> np.ndarray:
@@ -127,6 +143,19 @@ class State:
     def zero(cls, grid: Grid) -> "State":
         return cls(GridFunction.zero(grid), GridFunction.zero(grid), 0.0)
 
+    @classmethod
+    def from_flat(cls, grid: Grid, v: np.ndarray) -> "State":
+        """The state stored as one row u1 | u2 | p of length 2M+1."""
+        M = grid.M
+        return cls(GridFunction(grid, v[:M]), GridFunction(grid, v[M : 2 * M]), float(v[2 * M]))
+
+    def padded(self) -> np.ndarray:
+        """(2, M+2) array: rows u1 and u2 with the zero values at x = 0 and x = L."""
+        out = np.zeros((2, self.grid.M + 2))
+        out[0, 1:-1] = self.u1.values
+        out[1, 1:-1] = self.u2.values
+        return out
+
     def is_finite(self) -> bool:
         return bool(
             np.all(np.isfinite(self.u1.values))
@@ -146,25 +175,66 @@ class State:
     __rmul__ = __mul__
 
 
+def diff1(V: np.ndarray, h: float) -> np.ndarray:
+    """Centered first difference of padded rows V (..., M+2) at the interior nodes."""
+    return (V[..., 2:] - V[..., :-2]) / (2.0 * h)
+
+
+def diff2(V: np.ndarray, h: float) -> np.ndarray:
+    """Standard 3-point second difference of padded rows V (..., M+2) at the interior nodes."""
+    return (V[..., 2:] - 2.0 * V[..., 1:-1] + V[..., :-2]) / (h * h)
+
+
 def d1(f: GridFunction) -> GridFunction:
     """Centered first difference, second order, implicit zero boundaries."""
-    h = f.grid.h
-    v = f.padded()
-    return GridFunction(f.grid, (v[2:] - v[:-2]) / (2.0 * h))
+    return GridFunction(f.grid, diff1(f.padded(), f.grid.h))
 
 
 def d2(f: GridFunction) -> GridFunction:
     """Standard 3-point second difference with implicit zero boundaries."""
-    h = f.grid.h
-    v = f.padded()
-    return GridFunction(f.grid, (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (h * h))
+    return GridFunction(f.grid, diff2(f.padded(), f.grid.h))
+
+
+@lru_cache(maxsize=32)
+def interface_weights(grid: Grid, n) -> np.ndarray:
+    """Weights w on the padded nodes with w . f = window_mean(f, n), or trace_grad(f) at n = inf.
+
+    For finite n this is the trapezoidal rule over the grid nodes inside
+    [0, 1/n], with the off-grid endpoint 1/n handled by linear interpolation
+    between its neighbouring nodes, scaled by 2 n^2.  At n = inf it is the
+    one-sided second-order stencil of f'(0+).  Both use f(0) = f(L) = 0, so
+    the end weights are zero.  Read-only; cached per (grid, n).
+    """
+    h = grid.h
+    w = np.zeros(grid.M + 2)
+    if n == math.inf:
+        w[1] = 4.0 / (2.0 * h)
+        w[2] = -1.0 / (2.0 * h)
+    else:
+        if n <= 0:
+            raise ValueError(f"n must be positive, got {n}")
+        z = 1.0 / n
+        if z < 2.0 * h:
+            raise WindowUnresolved(f"window 1/n = {z} is below 2h = {2 * h}")
+        xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
+        m = min(int(np.floor(z / h + 1e-12)), grid.M + 1)
+        half = 0.5 * np.diff(xs[: m + 1])
+        w[:m] += half
+        w[1 : m + 1] += half
+        if m <= grid.M and xs[m] < z:
+            t = z - xs[m]
+            r = t / (xs[m + 1] - xs[m])
+            w[m] += 0.5 * t * (2.0 - r)
+            w[m + 1] += 0.5 * t * r
+        w *= 2.0 * n * n
+        w[0] = w[-1] = 0.0
+    w.setflags(write=False)
+    return w
 
 
 def trace_grad(f: GridFunction) -> float:
     """One-sided second-order estimate of f'(0+), using f(0) = 0."""
-    h = f.grid.h
-    v = f.values
-    return float((4.0 * v[0] - v[1]) / (2.0 * h))
+    return float(interface_weights(f.grid, math.inf) @ f.padded())
 
 
 def window_mean(f: GridFunction, n: int) -> float:
@@ -172,46 +242,47 @@ def window_mean(f: GridFunction, n: int) -> float:
 
     Trapezoidal quadrature over the grid nodes inside the window, with the
     off-grid endpoint 1/n handled by linear interpolation.  Requires the
-    window to span at least two cells.
+    window to span at least two cells.  Its limit n = inf, f'(0+), is
+    ``trace_grad``.
     """
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    z = 1.0 / n
-    h = f.grid.h
-    if z < 2.0 * h:
-        raise WindowUnresolved(f"window 1/n = {z} is below 2h = {2 * h}")
-    xs = np.concatenate(([0.0], f.grid.nodes, [f.grid.L]))
-    vs = f.padded()
-    m = int(np.floor(z / h + 1e-12))
-    m = min(m, f.grid.M + 1)
-    x_pts = xs[: m + 1]
-    v_pts = vs[: m + 1]
-    if x_pts[-1] < z:
-        v_end = np.interp(z, xs, vs)
-        x_pts = np.append(x_pts, z)
-        v_pts = np.append(v_pts, v_end)
-    integral = np.trapezoid(v_pts, x_pts)
-    return float(2.0 * n * n * integral)
+    return float(interface_weights(f.grid, n) @ f.padded())
 
 
 _ORDERS = ("L2", "H1", "H2")
 
 
-def norm(f: GridFunction, order: str = "L2") -> float:
-    """Discrete Sobolev norm; the H1/H2 norms use the same stencils as the dynamics."""
+def _sumsq(a: np.ndarray, axis):
+    # vdot is the fastest full reduction for the small arrays of one state
+    return np.vdot(a, a) if axis is None else np.sum(a * a, axis=axis)
+
+
+def sq_norm(V: np.ndarray, h: float, order: str = "L2", g1=None, axis=None):
+    """Squared discrete Sobolev norm of the padded rows V (..., M+2), summed over ``axis``.
+
+    ``axis=None`` sums over every row.  The H1/H2 norms add the squared first
+    and second differences, with the same stencils as the dynamics; ``g1`` is
+    ``diff1(V, h)`` (up to the signs of whole rows) if the caller has it.
+    """
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
-    h = f.grid.h
-    s = h * float(np.dot(f.values, f.values))
-    if order in ("H1", "H2"):
-        g = d1(f).values
-        s += h * float(np.dot(g, g))
+    s = _sumsq(V[..., 1:-1], axis)
+    if order != "L2":
+        s = s + _sumsq(diff1(V, h) if g1 is None else g1, axis)
     if order == "H2":
-        g = d2(f).values
-        s += h * float(np.dot(g, g))
-    return math.sqrt(s)
+        s = s + _sumsq(diff2(V, h), axis)
+    return h * s
+
+
+def norm(f: GridFunction, order: str = "L2") -> float:
+    """Discrete Sobolev norm; the H1/H2 norms use the same stencils as the dynamics."""
+    return math.sqrt(sq_norm(f.padded(), f.grid.h, order))
+
+
+def padded_state_norm(U: np.ndarray, p: float, h: float, order: str = "L2", g1=None) -> float:
+    """Direct-sum norm of the state held as padded phases U (2, M+2) and boundary p."""
+    return math.sqrt(sq_norm(U, h, order, g1) + p * p)
 
 
 def state_norm(X: State, order: str = "L2") -> float:
     """Direct-sum norm sqrt(|u1|^2 + |u2|^2 + p^2)."""
-    return math.sqrt(norm(X.u1, order) ** 2 + norm(X.u2, order) ** 2 + X.p**2)
+    return padded_state_norm(X.padded(), X.p, X.grid.h, order)

@@ -186,7 +186,7 @@ def _gaussian_factors(scale: float, ambient: AmbientGrid, grid: Grid):
 
 
 def color_field(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, p: float, grid: Grid):
-    """Colored increments at p + x_i and p - x_i for the two phases."""
+    """Colored increments at p + x_i and p - x_i for the two phases, as rows of a (2, M) array."""
     if not ambient.covers(p, grid.L):
         raise BoundaryLeftWindow(
             f"boundary at {p} with half-width {grid.L} leaves window [{ambient.x_lo}, {ambient.x_hi}]"
@@ -194,12 +194,10 @@ def color_field(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, p: fl
     factors = None if kernel.scale is None else _gaussian_factors(kernel.scale, ambient, grid)
     if factors is None:
         xs = grid.nodes
-        xi_plus = color_at(kernel, ambient, inc, p + xs)
-        xi_minus = color_at(kernel, ambient, inc, p - xs)
-        return xi_plus, xi_minus
+        return np.stack((color_at(kernel, ambient, inc, p + xs), color_at(kernel, ambient, inc, p - xs)))
     Z, rows, cols, centre = factors
     delta = p - centre
     a = delta / (kernel.scale * kernel.scale)
     out = Z @ (np.exp(a * cols) * inc.dW)
     out *= ambient.dy * np.exp(-a * (rows + 0.5 * delta))
-    return out[: grid.M], out[grid.M :]
+    return out.reshape(2, grid.M)

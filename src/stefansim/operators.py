@@ -23,6 +23,7 @@ __all__ = [
     "semigroup",
     "semigroup_factors",
     "apply_semigroup_factors",
+    "apply_factors",
     "K_A",
     "smoothing_check",
 ]
@@ -72,24 +73,30 @@ def apply_A(op: SpectralOperator, X: State) -> State:
 
 
 def semigroup_factors(op: SpectralOperator, t: float):
-    """Per-mode decay factors for e^{tA}; reusable across states for fixed t."""
+    """(F, e^{-t}): per-mode decay factors of e^{tA} for both phases, and for p.
+
+    F is a read-only (2, M) array, rows u1 and u2, with the normalization of
+    the inverse sine transform folded in; reusable across states for fixed t.
+    """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return (
-        np.exp(t * op.eigenvalues_plus),
-        np.exp(t * op.eigenvalues_minus),
-        math.exp(-t),
-    )
+    M = op.grid.M
+    F = np.exp(t * np.stack((op.eigenvalues_plus, op.eigenvalues_minus))) / (2.0 * (M + 1))
+    F.setflags(write=False)
+    return F, math.exp(-t)
+
+
+def apply_factors(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """e^{tA} on the phase rows Y (2, M): one DST of both rows, the factors F, a second DST."""
+    return dst(F * dst(Y, type=1), type=1)
 
 
 def apply_semigroup_factors(op: SpectralOperator, factors, X: State) -> State:
     if X.grid != op.grid:
         raise GridMismatch("state grid does not match operator grid")
-    fp, fm, fs = factors
-    M = op.grid.M
-    v1 = _from_modes(fp * _to_modes(X.u1.values), M)
-    v2 = _from_modes(fm * _to_modes(X.u2.values), M)
-    return State(GridFunction(op.grid, v1), GridFunction(op.grid, v2), fs * X.p)
+    F, fs = factors
+    v = apply_factors(F, np.stack((X.u1.values, X.u2.values)))
+    return State(GridFunction(op.grid, v[0]), GridFunction(op.grid, v[1]), fs * X.p)
 
 
 def semigroup(op: SpectralOperator, t: float, X: State) -> State:

@@ -2,9 +2,9 @@ import sys
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Replay the acceptance PASS/FAIL lines after the run (capture-proof)."""
-    mod = sys.modules.get("test_acceptance")
-    lines = getattr(mod, "REPORT_LINES", None) if mod else None
+    """Replay the acceptance and strong-order PASS/FAIL lines after the run (capture-proof)."""
+    lines = [line for name in ("test_acceptance", "test_solver")
+             for line in getattr(sys.modules.get(name), "REPORT_LINES", [])]
     if lines:
         terminalreporter.section("acceptance criteria")
         for line in lines:

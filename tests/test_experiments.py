@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -287,6 +288,28 @@ def test_lemma_suite_structured_window_failure(tmp_path):
     res = run_lemma_suite(resolve(raw))
     rows = {r.name: r for r in res}
     assert "psi_gap_bound" in rows
+
+
+def test_lemma_suite_skip_is_not_a_pass(tmp_path, capsys):
+    from stefansim.cli import main
+
+    # quadratic mu leaves the bounded regime that the linear-growth bound assumes
+    raw = base_raw(tmp_path / "out", mode="lemma-suite")
+    raw["model"]["mu"] = {"name": "quadratic", "coeff": 1.0}
+    raw["lemma_samples"] = 100
+    rows = {r.name: r for r in run_lemma_suite(resolve(raw))}
+    skipped = rows["linear_growth"]
+    assert skipped.status == "skip" and not skipped.passed
+    assert all(r.status == "pass" for name, r in rows.items() if name != "linear_growth")
+    with open(tmp_path / "out" / "lemma_suite.csv", newline="") as fh:
+        statuses = {r[0]: r[1] for r in csv.reader(fh)}
+    assert statuses["linear_growth"] == "skip"
+
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    capsys.readouterr()
+    assert main(["lemma-suite", "--config", str(cfg_path)]) == 0  # a skip fails nothing
+    assert "skip linear_growth" in capsys.readouterr().out
 
 
 def test_lemma_suite_empty_samples(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,11 +27,15 @@ from stefansim.coefficients import (
     mu_quadratic,
     mu_zero,
     rho_linear,
+    rho_tanh,
     rho_zero,
     sigma_affine,
     sigma_zero,
 )
+from stefansim.noise import NoiseIncrement
 from stefansim.solver import ExitEvent, Trajectory
+
+REPORT_LINES = []
 
 
 @pytest.fixture
@@ -70,7 +75,10 @@ def test_config_validation():
         SolveConfig(dt=0.2, T=0.1, n=INF)
     with pytest.raises(ValueError):
         SolveConfig(dt=0.01, T=1.0, n=INF, explosion_radius=0.0)
+    with pytest.raises(ValueError):
+        SolveConfig(dt=0.3, T=1.0, n=INF)  # would stop at t = 0.9
     assert SolveConfig(dt=0.01, T=1.0, n=INF).num_steps == 100
+    assert SolveConfig(dt=2e-3, T=0.25, n=INF).num_steps == 125
 
 
 def test_heat_decay_oracle(grid, ambient):
@@ -170,20 +178,20 @@ def test_truncation_consistency_bitwise(grid, ambient):
             assert Xa.p == Xb.p
 
 
+def _norm_history(dt, norm_h2, exit=None):
+    # exit_times reads only dt, the norm history and the exit
+    return Trajectory(grid=Grid(1.0, 4), dt=dt, times=np.array([0.0]), values=np.zeros((1, 9)),
+                      norm_h2=norm_h2, exit=exit)
+
+
 def test_exit_times_sequences():
     r = 1.0
-    traj = Trajectory(
-        dt=0.5,
-        times=np.array([0.0]),
-        states=[],
-        norm_h2=np.array([0.1, r, r, 2 * r]),
-        exit=None,
-    )
+    traj = _norm_history(0.5, np.array([0.1, r, r, 2 * r]))
     sigma_r, tau_r = exit_times(traj, r)
     assert sigma_r == pytest.approx(0.5)
     assert tau_r == pytest.approx(1.5)
 
-    below = Trajectory(dt=0.5, times=np.array([0.0]), states=[], norm_h2=np.array([0.1, 0.2]), exit=None)
+    below = _norm_history(0.5, np.array([0.1, 0.2]))
     assert exit_times(below, r) == (math.inf, math.inf)
 
     with pytest.raises(ValueError):
@@ -192,12 +200,12 @@ def test_exit_times_sequences():
     # leaving the noise window is not a norm crossing; a non-finite step is
     for kind, expected in (("window", (math.inf, math.inf)), ("nonfinite", (0.5, 0.5))):
         event = ExitEvent(step=1, time=0.5, threshold=math.inf, kind=kind)
-        t = Trajectory(dt=0.5, times=np.array([0.0]), states=[], norm_h2=np.array([0.1, 0.2]), exit=event)
+        t = _norm_history(0.5, np.array([0.1, 0.2]), event)
         assert exit_times(t, r) == expected
 
     rng = np.random.default_rng(0)
     for _ in range(50):
-        t = Trajectory(dt=0.1, times=np.array([0.0]), states=[], norm_h2=np.abs(rng.standard_normal(20)), exit=None)
+        t = _norm_history(0.1, np.abs(rng.standard_normal(20)))
         s, tau = exit_times(t, 0.8)
         assert s <= tau
 
@@ -242,3 +250,45 @@ def test_mild_vs_strong_identity(grid, ambient):
         acc = acc + contrib
     lhs = traj.states[K] - semigroup(op, K * dt, X0)
     assert state_norm(lhs - acc, "H1") < 10 * dt
+
+
+def test_strong_order_under_common_noise(ambient):
+    # dt, dt/2, dt/4 and dt/8 all read one fine keyed stream: a coarse
+    # increment is the exact sum of the fine increments it covers.  The noise
+    # is mostly multiplicative, for which the expected strong order is 1/2.
+    grid = Grid(1.0, 63)
+    model = make_model(ambient, sigma=sigma_affine(additive=0.3, multiplicative=1.0), rho=rho_tanh(1.0))
+    op = SpectralOperator(grid, 1.0, 1.0)
+    X0 = sine_state(grid, 0.5)
+    dt, T, halvings, seeds = 4e-3, 0.1, 3, range(32)
+    fine_dt = dt / 2**halvings
+
+    class Coarsened:
+        def __init__(self, fine, ratio):
+            self.fine, self.ratio = fine, ratio
+
+        def increment(self, k, dt_, amb):
+            r = self.ratio
+            return NoiseIncrement(sum(self.fine[k * r : (k + 1) * r]), k, dt_)
+
+    sup_dist = np.zeros(halvings)
+    for seed in seeds:
+        stream = NoiseStream(seed=seed)
+        fine = [stream.increment(j, fine_dt, ambient).dW for j in range(round(T / fine_dt))]
+        paths = []
+        for level in range(halvings + 1):
+            cfg = SolveConfig(dt=dt / 2**level, T=T, n=8, record_every=2**level)
+            traj = solve(op, model, cfg, X0, Coarsened(fine, 2 ** (halvings - level)), ambient)
+            assert not traj.exited
+            paths.append(traj)
+        for level, (a, b) in enumerate(zip(paths, paths[1:])):
+            assert np.allclose(a.times, b.times, rtol=0, atol=1e-12)
+            sup_dist[level] += max(state_norm(x - y, "L2") for x, y in zip(a.states, b.states))
+    sup_dist /= len(seeds)
+    order = float(np.polyfit(np.log(dt / 2.0 ** np.arange(halvings)), np.log(sup_dist), 1)[0])
+    ok = order >= 0.4
+    line = (f"STRONG ORDER: {'PASS' if ok else 'FAIL'} - fitted order {order:.3f} (>=0.4, expected 1/2) "
+            f"of E sup_t |X_dt - X_dt/2|_L2, dt = {dt:g}..{dt / 2**halvings:g}, {len(seeds)} seeds")
+    print(line, file=sys.__stdout__, flush=True)
+    REPORT_LINES.append(line)
+    assert ok
