@@ -8,7 +8,7 @@ import sys
 from . import experiments
 from .errors import StefansimError
 from .experiments import lemma_suite
-from .experiments.config import MODES, load_config, parse_seeds, resolve
+from .experiments.config import MODES, parse_seeds, read_config, resolve
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,16 +29,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        overrides = dict(cfg.raw)
-        overrides["mode"] = args.mode
+        # the overrides apply to the file's mapping before the one resolve
+        raw = read_config(args.config)
+        raw["mode"] = args.mode
         if args.out is not None:
-            overrides["outputs"] = args.out
+            raw["outputs"] = args.out
         if args.seeds is not None:
-            overrides["seeds"] = parse_seeds(args.seeds)
+            raw["seeds"] = parse_seeds(args.seeds)
         if args.jobs is not None:
-            overrides["jobs"] = args.jobs
-        cfg = resolve(overrides)
+            raw["jobs"] = args.jobs
+        cfg = resolve(raw)
         for w in cfg.warnings:
             print(f"warning: {w}", file=sys.stderr)
 

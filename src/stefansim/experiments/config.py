@@ -3,14 +3,15 @@
 Configs are YAML mappings.  ``resolve`` validates the raw dictionary and
 builds the grid, ambient window, kernel and coefficient set; workers rebuild
 from the raw dictionary, so everything here must be constructible from plain
-data.
+data.  Unknown keys, non-numeric values and non-integer counts are rejected
+with a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -18,7 +19,7 @@ import yaml
 from .. import coefficients as coef
 from ..errors import ConfigError
 from ..grids import Grid, GridFunction, State
-from ..noise import AmbientGrid, Kernel, gaussian_kernel
+from ..noise import AmbientGrid, gaussian_kernel
 from ..operators import SpectralOperator
 from ..solver import SolveConfig
 from ..coefficients import TruncationSpec
@@ -27,6 +28,37 @@ INF = math.inf
 
 MODES = ("simulate", "converge", "stefan-oracle", "lemma-suite")
 
+_KEYS = (
+    "mode", "grid", "ambient", "model", "initial", "solve", "family", "seeds", "outputs",
+    "q", "profiles", "dump_noise", "lemma_samples", "jobs", "stefan",
+)
+_MODEL_KEYS = ("eta_plus", "eta_minus", "mu", "mu_minus", "sigma", "sigma_minus", "rho", "kernel")
+_SOLVE_KEYS = ("dt", "T", "truncation_r", "R_max", "record_every")
+_INITIAL_KEYS = {
+    "zero": ("p0",),
+    "sine": ("p0", "amplitude", "amplitude2", "mode"),
+    "bump": ("p0", "amplitude", "amplitude2", "width"),
+}
+
+# Coefficient families: name -> (factory, in the bounded regime).  A family's
+# parameters and their defaults are the factory's keyword arguments.  The
+# bounded regime (bounded rho, affine sigma, mu with bounded slopes) is where
+# the convergence rate and the linear-growth bound are asserted.
+_FAMILIES = {
+    "mu": {
+        "zero": (coef.mu_zero, True),
+        "linear": (coef.mu_linear, False),
+        "saturated": (coef.mu_saturated, True),
+        "quadratic": (coef.mu_quadratic, False),
+    },
+    "sigma": {"zero": (coef.sigma_zero, True), "affine": (coef.sigma_affine, True)},
+    "rho": {
+        "zero": (coef.rho_zero, True),
+        "linear": (coef.rho_linear, False),
+        "tanh": (coef.rho_tanh, True),
+    },
+}
+
 
 def _require(d: dict, key: str, where: str):
     if key not in d:
@@ -34,18 +66,56 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _as_int(value, what: str) -> int:
+def _mapping(value, where: str, keys=None) -> dict:
+    """``value`` itself if it is a mapping with no key outside ``keys`` (any key if None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    unknown = [] if keys is None else [k for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}; choose from {list(keys)}")
+    return value
+
+
+@contextmanager
+def _invalid(where: str):
+    """Re-raise a constructor's range check (a ValueError) as a ConfigError naming the section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _as_int(value, what: str, minimum=None) -> int:
     """A whole number from an int, an integral float or a decimal string; ConfigError otherwise."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    n = None
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)):
+        n = int(value)
+    elif isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
-            return int(value)
+            n = int(value)
         except ValueError:
             pass
-    raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if n is None:
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and n < minimum:
+        raise ConfigError(f"{what} must be at least {minimum}, got {n}")
+    return n
+
+
+def _as_float(value, what: str) -> float:
+    """A real number from an int, a float or a numeric string; ConfigError otherwise."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
+def _as_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 def parse_seeds(spec) -> list:
@@ -67,6 +137,8 @@ def parse_seeds(spec) -> list:
 
 
 def parse_family(spec) -> list:
+    if not isinstance(spec, list):
+        raise ConfigError(f"family must be a list, got {spec!r}")
     out = []
     for n in spec:
         if n in ("inf", ".inf", "infinity") or (isinstance(n, float) and math.isinf(n)):
@@ -80,108 +152,103 @@ def parse_family(spec) -> list:
 
 
 def build_grid(d: dict) -> Grid:
-    return Grid(L=float(_require(d, "L", "grid")), M=int(_require(d, "M", "grid")))
+    _mapping(d, "grid", ("L", "M"))
+    L, M = _require(d, "L", "grid"), _require(d, "M", "grid")
+    return Grid(L=_as_float(L, "grid.L"), M=_as_int(M, "grid.M"))
 
 
 def build_ambient(d: dict, grid: Grid, p0: float) -> AmbientGrid:
-    if "x_lo" in d and "x_hi" in d:
-        x_lo, x_hi = float(d["x_lo"]), float(d["x_hi"])
+    _mapping(d, "ambient", ("x_lo", "x_hi", "pad", "dy", "J"))
+    if ("x_lo" in d) != ("x_hi" in d):
+        raise ConfigError("ambient.x_lo and ambient.x_hi must be given together")
+    if "x_lo" in d:
+        x_lo, x_hi = _as_float(d["x_lo"], "ambient.x_lo"), _as_float(d["x_hi"], "ambient.x_hi")
         pad = min(p0 - grid.L - x_lo, x_hi - p0 - grid.L)
         if pad <= 0:
             raise ConfigError("ambient window must cover [p0 - L, p0 + L] with positive pad")
     else:
-        pad = float(d.get("pad", 1.0))
+        pad = _as_float(d.get("pad", 1.0), "ambient.pad")
         if pad <= 0:
             raise ConfigError("ambient pad must be positive")
         x_lo = p0 - grid.L - pad
         x_hi = p0 + grid.L + pad
     if "J" in d:
-        J = int(d["J"])
+        J = _as_int(d["J"], "ambient.J")
     else:
-        dy = float(d.get("dy", 0.05))
+        dy = _as_float(d.get("dy", 0.05), "ambient.dy")
+        if dy <= 0:
+            raise ConfigError("ambient.dy must be positive")
         J = int(round((x_hi - x_lo) / dy)) + 1
     return AmbientGrid(x_lo=x_lo, x_hi=x_hi, J=J)
 
 
-_MU_FAMILIES = {
-    "zero": lambda p: coef.mu_zero(),
-    "linear": lambda p: coef.mu_linear(
-        c_v=float(p.get("c_v", 0.0)), c_vp=float(p.get("c_vp", 0.0))
-    ),
-    "saturated": lambda p: coef.mu_saturated(
-        amplitude=float(p.get("amplitude", 1.0)), slope=float(p.get("slope", 1.0))
-    ),
-    "quadratic": lambda p: coef.mu_quadratic(coeff=float(p.get("coeff", 1.0))),
-}
-
-_SIGMA_FAMILIES = {
-    "zero": lambda p: coef.sigma_zero(),
-    "affine": lambda p: coef.sigma_affine(
-        additive=float(p.get("additive", 0.0)),
-        multiplicative=float(p.get("multiplicative", 0.0)),
-        width=float(p.get("width", 1.0)),
-    ),
-}
-
-_RHO_FAMILIES = {
-    "zero": lambda p: coef.rho_zero(),
-    "linear": lambda p: coef.rho_linear(rho0=float(p.get("rho0", 1.0))),
-    "tanh": lambda p: coef.rho_tanh(
-        rho0=float(p.get("rho0", 1.0)), slope=float(p.get("slope", 1.0))
-    ),
-}
+def _family(kind: str, d, where: str):
+    """(coefficient, in the bounded regime) of a mu, sigma or rho mapping {name, **parameters}."""
+    table = _FAMILIES[kind]
+    name = _require(_mapping(d, where), "name", where)
+    if name not in table:
+        raise ConfigError(f"unknown {kind} family {name!r} in {where}; choose from {sorted(table)}")
+    factory, bounded = table[name]
+    params = {k: _as_float(v, f"{where}.{k}") for k, v in d.items() if k != "name"}
+    try:
+        return factory(**params), bounded
+    except TypeError as exc:  # a parameter the family does not take
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_coefficients(model: dict, ambient: AmbientGrid) -> coef.CoefficientSet:
-    def pick(table, d, what):
-        name = _require(d, "name", f"model.{what}")
-        if name not in table:
-            raise ConfigError(f"unknown {what} family {name!r}; choose from {sorted(table)}")
-        return table[name](d)
-
+    _mapping(model, "model", _MODEL_KEYS)
     mu_d = model.get("mu", {"name": "zero"})
     sigma_d = model.get("sigma", {"name": "zero"})
-    rho_d = model.get("rho", {"name": "zero"})
-    kernel_d = model.get("kernel", {"scale": 0.5})
-    kernel = gaussian_kernel(float(kernel_d.get("scale", 0.5)), ambient)
+    kernel_d = _mapping(model.get("kernel", {}), "model.kernel", ("scale",))
 
-    rho, rho_lip = pick(_RHO_FAMILIES, rho_d, "rho")
+    mu_plus, mu_ok = _family("mu", mu_d, "model.mu")
+    mu_minus, mu_minus_ok = _family("mu", model.get("mu_minus", mu_d), "model.mu_minus")
+    sigma_plus, sigma_ok = _family("sigma", sigma_d, "model.sigma")
+    sigma_minus, sigma_minus_ok = _family("sigma", model.get("sigma_minus", sigma_d), "model.sigma_minus")
+    (rho, rho_lip), rho_ok = _family("rho", model.get("rho", {"name": "zero"}), "model.rho")
     return coef.CoefficientSet(
-        eta_plus=float(model.get("eta_plus", 1.0)),
-        eta_minus=float(model.get("eta_minus", 1.0)),
-        mu_plus=pick(_MU_FAMILIES, mu_d, "mu"),
-        mu_minus=pick(_MU_FAMILIES, model.get("mu_minus", mu_d), "mu"),
-        sigma_plus=pick(_SIGMA_FAMILIES, sigma_d, "sigma"),
-        sigma_minus=pick(_SIGMA_FAMILIES, model.get("sigma_minus", sigma_d), "sigma"),
+        eta_plus=_as_float(model.get("eta_plus", 1.0), "model.eta_plus"),
+        eta_minus=_as_float(model.get("eta_minus", 1.0), "model.eta_minus"),
+        mu_plus=mu_plus,
+        mu_minus=mu_minus,
+        sigma_plus=sigma_plus,
+        sigma_minus=sigma_minus,
         rho=rho,
         rho_lipschitz=rho_lip,
-        kernel=kernel,
-        rho_bounded=rho_d.get("name") in ("tanh", "zero"),
-        sigma_affine_flag=sigma_d.get("name") in ("affine", "zero"),
-        mu_bounded_slopes=mu_d.get("name") in ("zero", "saturated"),
+        kernel=gaussian_kernel(_as_float(kernel_d.get("scale", 0.5), "model.kernel.scale"), ambient),
+        rho_bounded=rho_ok,
+        sigma_affine_flag=sigma_ok and sigma_minus_ok,
+        mu_bounded_slopes=mu_ok and mu_minus_ok,
     )
 
 
 def build_initial_state(d: dict, grid: Grid) -> State:
-    kind = d.get("kind", "zero")
-    p0 = float(d.get("p0", 0.0))
+    kind = _mapping(d, "initial").get("kind", "zero")
+    if kind not in _INITIAL_KEYS:
+        raise ConfigError(f"unknown initial-state kind {kind!r}; choose from {sorted(_INITIAL_KEYS)}")
+    _mapping(d, f"initial ({kind})", ("kind",) + _INITIAL_KEYS[kind])
+    p0 = _as_float(d.get("p0", 0.0), "initial.p0")
     if kind == "zero":
         return State(GridFunction.zero(grid), GridFunction.zero(grid), p0)
+    a1 = _as_float(d.get("amplitude", 1.0), "initial.amplitude")
     if kind == "sine":
-        a1 = float(d.get("amplitude", 1.0))
-        a2 = float(d.get("amplitude2", 0.0))
-        mode = int(d.get("mode", 1))
+        a2 = _as_float(d.get("amplitude2", 0.0), "initial.amplitude2")
+        mode = _as_int(d.get("mode", 1), "initial.mode")
         fn = lambda x: np.sin(mode * np.pi * x / grid.L)
-        base = GridFunction.from_callable(grid, fn)
-        return State(a1 * base, a2 * base, p0)
-    if kind == "bump":
-        a1 = float(d.get("amplitude", 1.0))
-        a2 = float(d.get("amplitude2", a1))
-        w = float(d.get("width", 0.5))
+    else:
+        a2 = _as_float(d.get("amplitude2", a1), "initial.amplitude2")
+        w = _as_float(d.get("width", 0.5), "initial.width")
         fn = lambda x: x * np.exp(-((x / w) ** 2))
-        base = GridFunction.from_callable(grid, fn)
-        return State(a1 * base, a2 * base, p0)
-    raise ConfigError(f"unknown initial-state kind {kind!r}")
+    base = GridFunction.from_callable(grid, fn)
+    return State(a1 * base, a2 * base, p0)
+
+
+def stefan_params(raw: dict, eta: float):
+    """(rho0, v_inf, eta, t0) of the ``stefan`` section; ``eta`` is the default diffusivity."""
+    defaults = {"rho0": 1.0, "v_inf": 0.5, "eta": eta, "t0": 0.25}
+    sd = _mapping(raw.get("stefan", {}), "stefan", defaults)
+    return tuple(_as_float(sd.get(k, v), f"stefan.{k}") for k, v in defaults.items())
 
 
 @dataclass
@@ -208,30 +275,31 @@ class ExperimentConfig:
 
 
 def resolve(raw: dict) -> ExperimentConfig:
+    _mapping(raw, "config", _KEYS)
     mode = raw.get("mode", "simulate")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
 
-    grid = build_grid(_require(raw, "grid", "config"))
-    initial_d = raw.get("initial", {"kind": "zero"})
-    initial = build_initial_state(initial_d, grid)
-    ambient = build_ambient(raw.get("ambient", {}), grid, initial.p)
-    model = build_coefficients(raw.get("model", {}), ambient)
+    with _invalid("grid"):
+        grid = build_grid(_require(raw, "grid", "config"))
+    initial = build_initial_state(raw.get("initial", {"kind": "zero"}), grid)
+    with _invalid("ambient"):
+        ambient = build_ambient(raw.get("ambient", {}), grid, initial.p)
+    with _invalid("model"):
+        model = build_coefficients(raw.get("model", {}), ambient)
     operator = SpectralOperator(grid, model.eta_plus, model.eta_minus)
 
-    sd = _require(raw, "solve", "config")
+    sd = _mapping(_require(raw, "solve", "config"), "solve", _SOLVE_KEYS)
     trunc_r = sd.get("truncation_r")
-    try:
+    with _invalid("solve section"):
         solve_cfg = SolveConfig(
-            dt=float(_require(sd, "dt", "solve")),
-            T=float(_require(sd, "T", "solve")),
+            dt=_as_float(_require(sd, "dt", "solve"), "solve.dt"),
+            T=_as_float(_require(sd, "T", "solve"), "solve.T"),
             n=INF,
-            truncation=None if trunc_r is None else TruncationSpec(float(trunc_r)),
-            explosion_radius=float(sd.get("R_max", 1e6)),
-            record_every=int(sd.get("record_every", 1)),
+            truncation=None if trunc_r is None else TruncationSpec(_as_float(trunc_r, "solve.truncation_r")),
+            explosion_radius=_as_float(sd.get("R_max", 1e6), "solve.R_max"),
+            record_every=_as_int(sd.get("record_every", 1), "solve.record_every"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solve section: {exc}") from exc
 
     family = parse_family(raw.get("family", [INF]))
     for n in family:
@@ -264,18 +332,23 @@ def resolve(raw: dict) -> ExperimentConfig:
         family=family,
         seeds=parse_seeds(raw.get("seeds", [0])),
         out_dir=str(raw.get("outputs", "out")),
-        q=int(raw.get("q", 2)),
-        profiles=bool(raw.get("profiles", False)),
-        dump_noise=bool(raw.get("dump_noise", False)),
-        lemma_samples=int(raw.get("lemma_samples", 200)),
-        jobs=int(raw.get("jobs", 1)),
+        q=_as_int(raw.get("q", 2), "q", minimum=1),
+        profiles=_as_bool(raw.get("profiles", False), "profiles"),
+        dump_noise=_as_bool(raw.get("dump_noise", False), "dump_noise"),
+        lemma_samples=_as_int(raw.get("lemma_samples", 200), "lemma_samples", minimum=0),
+        jobs=_as_int(raw.get("jobs", 1), "jobs", minimum=1),
         warnings=warnings,
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The raw mapping of a YAML config file, not yet resolved."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} did not parse to a mapping")
-    return resolve(raw)
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return resolve(read_config(path))

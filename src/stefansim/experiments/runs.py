@@ -4,7 +4,8 @@ oracle and the property suite.
 Every (n, seed) cell is an independent job keyed by its identity, so output
 is deterministic regardless of worker scheduling.  Workers rebuild their
 objects from the raw config mapping because coefficient closures do not
-pickle.
+pickle; ``_map_cells`` runs the cells in order, or over ``jobs`` worker
+processes.
 """
 
 from __future__ import annotations
@@ -14,18 +15,19 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List
 
 import numpy as np
 
 from ..coefficients import INF
 from ..grids import Grid, GridFunction, State, diff2, interface_weights, sq_norm
 from ..noise import NoiseStream
+from ..operators import SpectralOperator
 from ..solver import Trajectory, solve
 from ..transform import F_transform
 from . import lemma_suite
-from .config import ExperimentConfig, resolve
+from .config import ExperimentConfig, build_coefficients, resolve, stefan_params
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -52,18 +54,31 @@ def _n_label(n) -> str:
     return "inf" if n == INF else str(int(n))
 
 
-def _ensure_dir(path: str):
-    os.makedirs(path, exist_ok=True)
+def _write_csv(path: str, header: list, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _write_manifest(cfg: ExperimentConfig, extra: Optional[dict] = None):
-    _ensure_dir(cfg.out_dir)
-    manifest = {"version": _VERSION, "config": cfg.raw, "warnings": cfg.warnings}
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1, default=str)
+def _write_json(path: str, obj: dict):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1, default=str)
         fh.write("\n")
+
+
+def _write_manifest(cfg: ExperimentConfig, extra: dict):
+    manifest = {"version": _VERSION, "config": cfg.raw, "warnings": cfg.warnings, **extra}
+    _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
+
+
+def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
+    """``[cell(cfg.raw, *a) for a in args]``, computed over ``cfg.jobs`` worker processes if more than one."""
+    if cfg.jobs == 1:
+        return [cell(cfg.raw, *a) for a in args]
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        futures = [pool.submit(cell, cfg.raw, *a) for a in args]
+        return [f.result() for f in futures]
 
 
 class _SharedStream:
@@ -105,22 +120,18 @@ def _write_trajectory_csv(path: str, traj: Trajectory):
     p = traj.values[:, -1]
     norms = [np.sqrt(sq_norm(V, h, order, axis=(1, 2)) + p * p) for order in ("L2", "H1", "H2")]
     traces = V @ interface_weights(traj.grid, INF)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "p", "norm_L2", "norm_H1", "norm_H2", "trace_grad_u1", "trace_grad_u2"])
-        for row in zip(traj.times, p, *norms, traces[:, 0], traces[:, 1]):
-            w.writerow([_fmt(v) for v in row])
+    _write_csv(
+        path,
+        ["t", "p", "norm_L2", "norm_H1", "norm_H2", "trace_grad_u1", "trace_grad_u2"],
+        ([_fmt(v) for v in row] for row in zip(traj.times, p, *norms, traces[:, 0], traces[:, 1])),
+    )
 
 
 def _write_profile_csv(path: str, X: State):
     g = X.grid
     pts = np.concatenate((X.p - g.nodes[::-1], [X.p], X.p + g.nodes))
     prof = F_transform(X, pts)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "v"])
-        for x, v in zip(prof.x, prof.values):
-            w.writerow([_fmt(x), _fmt(v)])
+    _write_csv(path, ["x", "v"], ([_fmt(x), _fmt(v)] for x, v in zip(prof.x, prof.values)))
 
 
 def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
@@ -147,33 +158,19 @@ def _simulate_cell(raw: dict, n, seed: int) -> dict:
         "n": label,
         "seed": seed,
         "exited": traj.exited,
-        "exit": None
-        if traj.exit is None
-        else {
-            "step": traj.exit.step,
-            "time": traj.exit.time,
-            "threshold": traj.exit.threshold,
-            "kind": traj.exit.kind,
-        },
+        "exit": None if traj.exit is None else asdict(traj.exit),
         "final_time": float(traj.times[-1]),
         "final_p": float(traj.final_state.p),
     }
-    with open(base + "_exit.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(base + "_exit.json", meta)
     return meta
 
 
 def run_simulate(cfg: ExperimentConfig) -> List[dict]:
     """One path per (n, seed); writes trajectory CSVs and exit metadata."""
-    _ensure_dir(cfg.out_dir)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     cells = [(n, s) for n in cfg.family for s in cfg.seeds]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {(n, s): pool.submit(_simulate_cell, cfg.raw, n, s) for n, s in cells}
-            metas = [futures[key].result() for key in cells]
-    else:
-        metas = [_simulate_cell(cfg.raw, n, s) for n, s in cells]
+    metas = _map_cells(cfg, _simulate_cell, cells)
     _write_manifest(cfg, {"mode": "simulate", "cells": len(cells)})
     return metas
 
@@ -270,34 +267,20 @@ def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:
     """Monte Carlo distances to the sharp-interface reference, plus a rate fit."""
     finite = sorted(n for n in cfg.family if n != INF)
     report = ConvergenceReport(family=finite, seeds=list(cfg.seeds), q=cfg.q, warnings=list(cfg.warnings))
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    per_seed = _map_cells(cfg, _converge_seed, [(s,) for s in cfg.seeds])
     for n in finite:
-        report.h1_dist[n] = []
-        report.d2l2_dist[n] = []
-        report.p_dist[n] = []
-        report.exploded[n] = []
-
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = {s: pool.submit(_converge_seed, cfg.raw, s) for s in cfg.seeds}
-            per_seed = [futures[s].result() for s in cfg.seeds]
-    else:
-        per_seed = [_converge_seed(cfg.raw, s) for s in cfg.seeds]
-
-    for cell in per_seed:
-        for n in finite:
-            d_h1, d_d2, d_p, exploded = cell[n]
-            report.h1_dist[n].append(d_h1)
-            report.d2l2_dist[n].append(d_d2)
-            report.p_dist[n].append(d_p)
-            report.exploded[n].append(exploded)
+        # one list per statistic, aligned with the seeds
+        report.h1_dist[n], report.d2l2_dist[n], report.p_dist[n], report.exploded[n] = map(
+            list, zip(*(cell[n] for cell in per_seed))
+        )
     report.finalize()
 
-    _ensure_dir(cfg.out_dir)
-    with open(os.path.join(cfg.out_dir, "report.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "mean_H1_dist", "mean_d2L2_dist", "mean_p_dist", "n_exploded"])
-        for row in report.rows():
-            w.writerow(row)
+    _write_csv(
+        os.path.join(cfg.out_dir, "report.csv"),
+        ["n", "mean_H1_dist", "mean_d2L2_dist", "mean_p_dist", "n_exploded"],
+        report.rows(),
+    )
     _write_manifest(cfg, {"mode": "converge", "slope": report.slope})
     return report
 
@@ -355,36 +338,22 @@ def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: 
 def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
     """Deterministic front-tracking run against the similarity solution.
 
-    The model section is ignored except for eta_plus; the run itself uses
-    zero reaction, zero noise and the linear interface map with strength
-    rho0, which is the classical melting configuration.
+    The model section is ignored except for eta_plus and the kernel; the run
+    itself uses zero reaction, zero noise and the linear interface map with
+    strength rho0, which is the classical melting configuration.
     """
-    sd = cfg.raw.get("stefan", {})
-    rho0 = float(sd.get("rho0", 1.0))
-    v_inf = float(sd.get("v_inf", 0.5))
-    eta = float(sd.get("eta", cfg.model.eta_plus))
-    t0 = float(sd.get("t0", 0.25))
-
+    rho0, v_inf, eta, t0 = stefan_params(cfg.raw, cfg.model.eta_plus)
     lam = stefan_front_coefficient(rho0, v_inf, eta)
     X0 = _stefan_initial_state(cfg.grid, lam, v_inf, eta, t0)
 
-    from .. import coefficients as coef
-    from ..operators import SpectralOperator
-
-    rho, rho_lip = coef.rho_linear(rho0)
-    model = coef.CoefficientSet(
-        eta_plus=eta,
-        eta_minus=eta,
-        mu_plus=coef.mu_zero(),
-        mu_minus=coef.mu_zero(),
-        sigma_plus=coef.sigma_zero(),
-        sigma_minus=coef.sigma_zero(),
-        rho=rho,
-        rho_lipschitz=rho_lip,
-        kernel=cfg.model.kernel,
-        rho_bounded=False,
-        sigma_affine_flag=True,
-        mu_bounded_slopes=True,
+    model = build_coefficients(
+        {
+            "eta_plus": eta,
+            "eta_minus": eta,
+            "rho": {"name": "linear", "rho0": rho0},
+            "kernel": cfg.raw.get("model", {}).get("kernel", {}),
+        },
+        cfg.ambient,
     )
     op = SpectralOperator(cfg.grid, eta, eta)
     scfg = replace(cfg.solve, n=INF, truncation=None)
@@ -408,10 +377,8 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
         "p_exact_final": float(exact[-1]),
         "max_rel_error_late": max_rel,
     }
-    _ensure_dir(cfg.out_dir)
-    with open(os.path.join(cfg.out_dir, "stefan_report.json"), "w") as fh:
-        json.dump(result, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_json(os.path.join(cfg.out_dir, "stefan_report.json"), result)
     _write_manifest(cfg, {"mode": "stefan-oracle"})
     return result
 
@@ -430,11 +397,11 @@ def run_lemma_suite(cfg: ExperimentConfig) -> List[lemma_suite.LemmaResult]:
         samples=cfg.lemma_samples,
         seed=0,
     )
-    _ensure_dir(cfg.out_dir)
-    with open(os.path.join(cfg.out_dir, "lemma_suite.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["property", "status", "worst", "allowed", "detail"])
-        for r in results:
-            w.writerow(r.row())
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_csv(
+        os.path.join(cfg.out_dir, "lemma_suite.csv"),
+        ["property", "status", "worst", "allowed", "detail"],
+        (r.row() for r in results),
+    )
     _write_manifest(cfg, {"mode": "lemma-suite", "n_checks": len(results)})
     return results

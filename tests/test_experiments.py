@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,24 @@ def test_config_validation(tmp_path):
         raw["solve"].update(T=T, dt=dt)
         assert resolve(raw).solve.num_steps == steps
 
+    # malformed values fail in resolve with the offending key in the message
+    for section, key, value, named in (
+        ("model", "mu", {"name": "linear", "cv": 1.0}, "'cv'"),  # misspelt c_v
+        ("model", "kernel", {"scal": 0.3}, "'scal'"),
+        (None, "colour", "red", "'colour'"),  # unknown top-level key
+        ("grid", "M", 63.5, "grid.M"),
+        ("grid", "M", "x", "grid.M"),
+        ("solve", "record_every", 2.5, "solve.record_every"),
+        (None, "jobs", 0, "jobs"),
+        (None, "q", 0, "q"),
+        ("ambient", "x_lo", -3.0, "ambient.x_hi"),  # x_hi missing
+        ("model", "rho", {"name": "tanh", "rho0": "big"}, "model.rho.rho0"),
+    ):
+        raw = base_raw(tmp_path)
+        (raw if section is None else raw[section])[key] = value
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            resolve(raw)
+
 
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "cfg.yaml"
@@ -143,9 +162,13 @@ def test_load_config_yaml(tmp_path):
 def test_rate_refusal_warning(tmp_path):
     raw = base_raw(tmp_path, mode="converge")
     raw["family"] = [4, 8, 16, "inf"]
-    raw["model"]["mu"] = {"name": "quadratic"}  # not the bounded regime
-    cfg = resolve(raw)
-    assert any("refused" in w for w in cfg.warnings)
+    assert resolve(raw).warnings == []  # zero mu, affine sigma, tanh rho: the bounded regime
+    # a quadratic mu in either phase leaves the bounded regime
+    for phase in ("mu", "mu_minus"):
+        raw["model"] = dict(base_raw(tmp_path)["model"], **{phase: {"name": "quadratic"}})
+        cfg = resolve(raw)
+        assert any("refused" in w for w in cfg.warnings), phase
+        assert not cfg.model.mu_bounded_slopes
 
 
 def _dir_hashes(d):
@@ -169,6 +192,19 @@ def test_simulate_deterministic_bytes(tmp_path):
     first = _dir_hashes(a)
     run_simulate(resolve(base_raw(a)))
     assert _dir_hashes(a) == first
+
+
+def test_process_pool_matches_serial(tmp_path):
+    # jobs = 2 maps the same cells over worker processes; every output but the manifest agrees
+    for mode, run in (("simulate", run_simulate), ("converge", run_converge)):
+        hashes = []
+        for jobs in (1, 2):
+            out = tmp_path / f"{mode}{jobs}"
+            raw = dict(base_raw(out, mode=mode), jobs=jobs, family=[4, 8, 16, "inf"])
+            run(resolve(raw))
+            hashes.append({k: v for k, v in _dir_hashes(out).items() if k != "manifest.json"})
+        assert hashes[0] == hashes[1]
+        assert len(hashes[0]) == (16 if mode == "simulate" else 1)
 
 
 def test_simulate_trajectory_columns(tmp_path):
@@ -321,18 +357,30 @@ def test_lemma_suite_empty_samples(tmp_path):
 def test_cli_simulate(tmp_path, capsys):
     from stefansim.cli import main
 
+    # the overrides apply before the config is resolved: the file's mode and
+    # seeds alone would be a converge run without enough family members over
+    # an empty seed range
+    raw = dict(base_raw(tmp_path / "cli_out"), mode="converge", family=[4, "inf"], seeds="5..2")
     cfg_path = tmp_path / "cfg.yaml"
-    cfg_path.write_text(yaml.safe_dump(base_raw(tmp_path / "cli_out")))
+    cfg_path.write_text(yaml.safe_dump(raw))
     rc = main(["simulate", "--config", str(cfg_path), "--seeds", "0..1"])
     assert rc == 0
     assert (tmp_path / "cli_out" / "manifest.json").exists()
+    assert (tmp_path / "cli_out" / "traj_n4_seed1.csv").exists()
     out = capsys.readouterr().out
-    assert "trajectories" in out
+    assert "wrote 4 trajectories" in out
 
 
-def test_cli_bad_config(tmp_path):
+def test_cli_bad_config(tmp_path, capsys):
     from stefansim.cli import main
 
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(yaml.safe_dump({"mode": "simulate"}))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
+
+    # a non-numeric count is a config error, not a traceback
+    raw = base_raw(tmp_path / "out")
+    raw["grid"]["M"] = "x"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "error: grid.M" in capsys.readouterr().err
