@@ -248,7 +248,18 @@ def stefan_params(raw: dict, eta: float):
     """(rho0, v_inf, eta, t0) of the ``stefan`` section; ``eta`` is the default diffusivity."""
     defaults = {"rho0": 1.0, "v_inf": 0.5, "eta": eta, "t0": 0.25}
     sd = _mapping(raw.get("stefan", {}), "stefan", defaults)
-    return tuple(_as_float(sd.get(k, v), f"stefan.{k}") for k, v in defaults.items())
+    rho0, v_inf, eta, t0 = (_as_float(sd.get(k, v), f"stefan.{k}") for k, v in defaults.items())
+    if not eta > 0:
+        raise ConfigError(f"stefan.eta must be positive, got {eta}")
+    if not t0 > 0:
+        raise ConfigError(f"stefan.t0 must be positive, got {t0}")
+    # the similarity front exists for Stefan numbers in (0, 1); rho0 = 0 is the stationary front
+    stefan_number = rho0 * v_inf / eta
+    if rho0 != 0.0 and not 0.0 < stefan_number < 1.0:
+        raise ConfigError(
+            f"stefan.rho0 * stefan.v_inf / stefan.eta = {stefan_number} must lie in (0, 1)"
+        )
+    return rho0, v_inf, eta, t0
 
 
 @dataclass
@@ -308,6 +319,9 @@ def resolve(raw: dict) -> ExperimentConfig:
                 f"family member n={n} has unresolved window: 1/n = {1 / n} < 2h = {2 * grid.h}"
             )
 
+    if mode == "stefan-oracle":
+        stefan_params(raw, model.eta_plus)  # reject a front without a similarity solution up front
+
     warnings = []
     if mode == "converge":
         finite = [n for n in family if n != INF]
@@ -343,8 +357,13 @@ def resolve(raw: dict) -> ExperimentConfig:
 
 def read_config(path: str) -> dict:
     """The raw mapping of a YAML config file, not yet resolved."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            raw = yaml.safe_load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} did not parse to a mapping")
     return raw

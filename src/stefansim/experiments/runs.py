@@ -55,10 +55,23 @@ def _n_label(n) -> str:
 
 
 def _write_csv(path: str, header: list, rows):
+    """Mixed-type rows through ``csv.writer``, which quotes free-text fields."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_table(path: str, header: list, table: np.ndarray):
+    """A 2-D float table as CSV in one write: ``%.17g`` fields and CRLF line ends.
+
+    The bytes equal ``_write_csv(path, header, ([_fmt(v) for v in row] for row in table))``;
+    no field of a float or of the header needs quoting.
+    """
+    rows, cols = table.shape
+    line = ",".join(["%.17g"] * cols) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + (line * rows) % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: str, obj: dict):
@@ -120,10 +133,10 @@ def _write_trajectory_csv(path: str, traj: Trajectory):
     p = traj.values[:, -1]
     norms = [np.sqrt(sq_norm(V, h, order, axis=(1, 2)) + p * p) for order in ("L2", "H1", "H2")]
     traces = V @ interface_weights(traj.grid, INF)
-    _write_csv(
+    _write_table(
         path,
         ["t", "p", "norm_L2", "norm_H1", "norm_H2", "trace_grad_u1", "trace_grad_u2"],
-        ([_fmt(v) for v in row] for row in zip(traj.times, p, *norms, traces[:, 0], traces[:, 1])),
+        np.column_stack((traj.times, p, *norms, traces)),
     )
 
 
@@ -131,7 +144,7 @@ def _write_profile_csv(path: str, X: State):
     g = X.grid
     pts = np.concatenate((X.p - g.nodes[::-1], [X.p], X.p + g.nodes))
     prof = F_transform(X, pts)
-    _write_csv(path, ["x", "v"], ([_fmt(x), _fmt(v)] for x, v in zip(prof.x, prof.values)))
+    _write_table(path, ["x", "v"], np.column_stack((prof.x, prof.values)))
 
 
 def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):

@@ -70,6 +70,13 @@ class Grid:
         x.setflags(write=False)
         return x
 
+    @cached_property
+    def reflected_nodes(self) -> np.ndarray:
+        """-x_i, the positions of the reflected left phase u2 (read-only)."""
+        x = -self.nodes
+        x.setflags(write=False)
+        return x
+
 
 def _as_values(grid: Grid, values) -> np.ndarray:
     v = np.asarray(values, dtype=float)

@@ -22,6 +22,7 @@ from stefansim.experiments import (
     stefan_front_coefficient,
 )
 from stefansim.experiments.config import parse_family, parse_seeds
+from stefansim.experiments.runs import _write_table
 from stefansim.noise import NoiseStream
 
 
@@ -150,6 +151,20 @@ def test_config_validation(tmp_path):
         with pytest.raises(ConfigError, match=re.escape(named)):
             resolve(raw)
 
+    # a stefan section without a similarity front fails in resolve, naming the key
+    for stefan, named in (
+        ({"rho0": 4.0, "v_inf": 1.0}, "stefan.rho0 * stefan.v_inf / stefan.eta"),
+        ({"rho0": 1.0, "v_inf": -0.5}, "stefan.rho0 * stefan.v_inf / stefan.eta"),
+        ({"eta": -1.0}, "stefan.eta"),
+        ({"eta": 0.0}, "stefan.eta"),
+        ({"t0": 0.0}, "stefan.t0"),
+    ):
+        raw = dict(base_raw(tmp_path, mode="stefan-oracle"), stefan=stefan)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            resolve(raw)
+    raw = dict(base_raw(tmp_path, mode="stefan-oracle"), stefan={"rho0": 0.0, "v_inf": 4.0})
+    resolve(raw)  # rho0 = 0 is the stationary front at any v_inf
+
 
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "cfg.yaml"
@@ -205,6 +220,53 @@ def test_process_pool_matches_serial(tmp_path):
             hashes.append({k: v for k, v in _dir_hashes(out).items() if k != "manifest.json"})
         assert hashes[0] == hashes[1]
         assert len(hashes[0]) == (16 if mode == "simulate" else 1)
+
+
+def test_write_table_matches_csv_writer(tmp_path):
+    # the bulk writer produces the bytes of csv.writer rows of %.17g strings
+    values = [0.0, -0.0, 1.0, 0.1, 1 / 3, -2.5e-7, 5e-324, 1e300, math.inf, math.nan]
+    table = np.array([values, values[::-1], [-v for v in values]]).T
+    header = ["x", "v", "w"]
+    _write_table(str(tmp_path / "bulk.csv"), header, table)
+    with open(tmp_path / "rows.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([format(float(v), ".17g") for v in row] for row in table)
+    bulk = (tmp_path / "bulk.csv").read_bytes()
+    assert bulk == (tmp_path / "rows.csv").read_bytes()
+    # and this is the format, byte for byte
+    assert bulk.split(b"\r\n") == [
+        b"x,v,w",
+        b"0,nan,-0",
+        b"-0,inf,0",
+        b"1,1.0000000000000001e+300,-1",
+        b"0.10000000000000001,4.9406564584124654e-324,-0.10000000000000001",
+        b"0.33333333333333331,-2.4999999999999999e-07,-0.33333333333333331",
+        b"-2.4999999999999999e-07,0.33333333333333331,2.4999999999999999e-07",
+        b"4.9406564584124654e-324,0.10000000000000001,-4.9406564584124654e-324",
+        b"1.0000000000000001e+300,1,-1.0000000000000001e+300",
+        b"inf,-0,-inf",
+        b"nan,0,nan",
+        b"",
+    ]
+
+
+def test_simulate_profiles(tmp_path):
+    raw = dict(base_raw(tmp_path), profiles=True)
+    M = raw["grid"]["M"]
+    run_simulate(resolve(raw))
+    for name in ("traj_n8_seed0", "traj_ninf_seed1"):
+        with open(tmp_path / f"{name}.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        profiles = [f for f in os.listdir(tmp_path) if f.startswith(name + "_profile")]
+        assert sorted(profiles) == sorted(f"{name}_profile{k}.csv" for k in range(len(rows)))
+        for k, row in enumerate(rows):
+            with open(tmp_path / f"{name}_profile{k}.csv", newline="") as fh:
+                prof = list(csv.reader(fh))
+            assert prof[0] == ["x", "v"] and len(prof) == 2 * M + 2
+            x, v = map(float, prof[1 + M])  # data row M is the interface
+            assert x == float(row[1])
+            assert v == 0.0
 
 
 def test_simulate_trajectory_columns(tmp_path):
@@ -384,3 +446,16 @@ def test_cli_bad_config(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(raw))
     assert main(["simulate", "--config", str(cfg_path)]) == 2
     assert "error: grid.M" in capsys.readouterr().err
+
+    # a missing file and a file that is not YAML are config errors too
+    assert main(["simulate", "--config", str(tmp_path / "missing.yaml")]) == 2
+    assert "error: cannot read config file" in capsys.readouterr().err
+    cfg_path.write_text("grid: {L: 1.0, M: 63\n")
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    assert "error: config file" in capsys.readouterr().err
+
+    # so is a Stefan number outside (0, 1)
+    raw = dict(base_raw(tmp_path / "out"), stefan={"rho0": 4.0, "v_inf": 1.0})
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["stefan-oracle", "--config", str(cfg_path)]) == 2
+    assert "error: stefan.rho0 * stefan.v_inf / stefan.eta = 4.0" in capsys.readouterr().err
