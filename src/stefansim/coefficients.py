@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import WindowUnresolved
 from .grids import Grid, GridFunction, State, diff1, interface_weights, state_norm
-from .noise import AmbientGrid, Kernel, NoiseIncrement, color_field
+from .noise import AmbientGrid, Kernel, NoiseIncrement, check_window, color_field
 
 __all__ = [
     "CoefficientSet",
@@ -133,14 +133,21 @@ def drift_rows(c: CoefficientSet, U: np.ndarray, p: float, g: np.ndarray, w: np.
 
 
 def diffusion_rows(
-    c: CoefficientSet, U: np.ndarray, p: float, inc: NoiseIncrement, ambient: AmbientGrid, grid: Grid
-) -> np.ndarray:
-    """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0."""
-    xi = color_field(c.kernel, ambient, inc, p, grid)
-    out = np.empty_like(xi)
+    c: CoefficientSet, U: np.ndarray, p: float, draw: Callable[[], NoiseIncrement], ambient: AmbientGrid, grid: Grid
+) -> Optional[np.ndarray]:
+    """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0.
+
+    ``draw()`` returns the increment.  Where every sigma entry is zero the
+    product is zero whatever the increment: nothing is drawn or colored, only
+    the boundary is checked against the window, and the result is None.
+    """
+    out = np.empty((2, grid.M))
     out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
     out[1] = c.sigma_minus(grid.reflected_nodes, U[1, 1:-1])
-    out *= xi
+    if not out.any():
+        check_window(ambient, p, grid.L)
+        return None
+    out *= color_field(c.kernel, ambient, draw(), p, grid)
     return out
 
 
@@ -183,7 +190,9 @@ def diffusion_C(
     spec: Optional[TruncationSpec] = None,
 ) -> State:
     """Multiplicative noise increment (sigma+(x, u1) xi+, sigma-(-x, u2) xi-, 0)."""
-    rows = diffusion_rows(c, X.padded(), X.p, inc, ambient, X.grid)
+    rows = diffusion_rows(c, X.padded(), X.p, lambda: inc, ambient, X.grid)
+    if rows is None:
+        rows = np.zeros((2, X.grid.M))
     return _cut(spec, X, _state(X.grid, rows, 0.0))
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "gaussian_kernel",
     "NoiseIncrement",
     "NoiseStream",
+    "check_window",
     "color_at",
     "color_field",
 ]
@@ -185,12 +186,17 @@ def _gaussian_factors(scale: float, ambient: AmbientGrid, grid: Grid):
     return Z, rows, cols, centre
 
 
+def check_window(ambient: AmbientGrid, p: float, L: float):
+    """Raise BoundaryLeftWindow unless the window covers [p - L, p + L]."""
+    if not ambient.covers(p, L):
+        raise BoundaryLeftWindow(
+            f"boundary at {p} with half-width {L} leaves window [{ambient.x_lo}, {ambient.x_hi}]"
+        )
+
+
 def color_field(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, p: float, grid: Grid):
     """Colored increments at p + x_i and p - x_i for the two phases, as rows of a (2, M) array."""
-    if not ambient.covers(p, grid.L):
-        raise BoundaryLeftWindow(
-            f"boundary at {p} with half-width {grid.L} leaves window [{ambient.x_lo}, {ambient.x_hi}]"
-        )
+    check_window(ambient, p, grid.L)
     factors = None if kernel.scale is None else _gaussian_factors(kernel.scale, ambient, grid)
     if factors is None:
         xs = grid.nodes

@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
+# scipy.fftpack.dst calls the pocketfft transform directly; scipy.fft.dst goes
+# through the backend dispatch first, which doubles the cost of a small
+# transform.  Both return the same bits.
+from scipy.fftpack import dst
 
 from .errors import GridMismatch
 from .grids import Grid, GridFunction, State, d1, d2, norm, state_norm

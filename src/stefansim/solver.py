@@ -3,7 +3,8 @@
 One step applies the exact semigroup to (state + dt * drift + noise
 increment), which discretizes the semigroup integral equation term by term:
 unconditionally stable in the stiff linear part, first order in dt in the
-drift, Ito (left endpoint) in the noise.
+drift, Ito (left endpoint) in the noise.  A step whose diffusion coefficients
+vanish at the current state draws no noise increment.
 
 The loop of ``solve`` steps one contiguous padded buffer of shape (2, M+2)
 per path, rows u1 and u2 with zero end columns for the Dirichlet nodes, plus
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import List, Optional
 
 import numpy as np
@@ -101,32 +102,36 @@ class Trajectory:
         return self.values[:, -1].copy()
 
 
-def _advance(op, c, cfg, U, p, g, nrm, inc, ambient, factors, w):
-    """One exponential-Euler step of the padded phases U (2, M+2) and boundary p.
+def _advance(op, c, cfg, U, p, g, nrm, draw, k, ambient, factors, w):
+    """Step ``k`` of exponential Euler from the padded phases U (2, M+2) and boundary p.
 
     ``g`` is transport_direction(U) and ``nrm`` the H2-state norm of (U, p);
     the cutoff factor is evaluated once from it and applied to drift and
-    diffusion.  Returns the new (U, p).
+    diffusion.  ``draw()`` returns the noise increment of the step; it is not
+    called when the diffusion coefficients vanish at (U, p).  Returns the new
+    (U, p).
     """
     grid = op.grid
     drift, drift_p = drift_rows(c, U, p, g, w, grid)
-    noise = diffusion_rows(c, U, p, inc, ambient, grid)
+    noise = diffusion_rows(c, U, p, draw, ambient, grid)
     if cfg.truncation is not None:
         # looked up on the module so that a wrapper of coefficients.h_r sees the call
         f = coefficients.h_r(cfg.truncation, nrm**2)
         if f != 1.0:
             drift *= f
-            noise *= f
+            if noise is not None:
+                noise *= f
             drift_p = f * drift_p
     drift *= cfg.dt
     drift += U[:, 1:-1]
-    drift += noise
+    if noise is not None:
+        drift += noise
     F, fp = factors
     out = np.zeros_like(U)
     out[:, 1:-1] = apply_factors(F, drift)
     p_out = fp * (p + cfg.dt * drift_p)
     if not (np.isfinite(out).all() and math.isfinite(p_out)):
-        raise NonFiniteState(f"non-finite state after step at index {inc.step_index}")
+        raise NonFiniteState(f"non-finite state after step at index {k}")
     return out, p_out
 
 
@@ -154,7 +159,7 @@ def step(
     if norm_h2 is None and cfg.truncation is not None:
         norm_h2 = padded_state_norm(U, X.p, h, "H2", g)
     w = interface_weights(op.grid, cfg.n)
-    U, p = _advance(op, c, cfg, U, X.p, g, norm_h2, inc, ambient, factors, w)
+    U, p = _advance(op, c, cfg, U, X.p, g, norm_h2, lambda: inc, inc.step_index, ambient, factors, w)
     return State.from_flat(op.grid, np.append(U[:, 1:-1], p))
 
 
@@ -191,10 +196,10 @@ def solve(
     exit_event: Optional[ExitEvent] = None
 
     for k in range(cfg.num_steps):
-        inc = stream.increment(k, cfg.dt, ambient)
         t_next = (k + 1) * cfg.dt
+        draw = partial(stream.increment, k, cfg.dt, ambient)
         try:
-            U_next, p_next = _advance(op, c, cfg, U, p, g, nrm, inc, ambient, factors, w)
+            U_next, p_next = _advance(op, c, cfg, U, p, g, nrm, draw, k, ambient, factors, w)
         except NonFiniteState:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
             break

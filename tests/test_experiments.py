@@ -10,6 +10,7 @@ import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import erfcx
 
 from stefansim.errors import ConfigError
 from stefansim.experiments import (
@@ -342,6 +343,11 @@ def test_stefan_front_coefficient():
     assert stefan_front_coefficient(1.0, 0.8, 1.0) > lam
     with pytest.raises(ValueError):
         stefan_front_coefficient(4.0, 1.0, 1.0)
+    # a root for every admissible Stefan number, up to the limit 1 where lambda ~ (2 (1 - St))^(-1/2)
+    for stefan in (0.5, 0.99, 0.995, 1.0 - 1e-6):
+        lam = stefan_front_coefficient(stefan, 1.0, 1.0)
+        assert math.sqrt(math.pi) * lam * erfcx(lam) == pytest.approx(stefan, rel=1e-12)
+    assert stefan_front_coefficient(1.0 - 1e-6, 1.0, 1.0) == pytest.approx(math.sqrt(0.5e6), rel=1e-3)
 
 
 def test_stefan_oracle_stationary(tmp_path):
@@ -375,6 +381,36 @@ def test_stefan_oracle_mesh_refinement(tmp_path):
         }
         errs.append(run_stefan_oracle(resolve(raw))["max_rel_error_late"])
     assert errs[1] <= 0.5 * errs[0]
+
+
+def test_cli_stefan_oracle_front_leaving_window(tmp_path, capsys):
+    from stefansim.cli import main
+
+    # at Stefan number 0.995, lambda is about 10: the front starts near p = 10,
+    # outside the window of configs/stefan.yaml, which is a config error
+    raw = {
+        "mode": "stefan-oracle",
+        "grid": {"L": 4.0, "M": 255},
+        "ambient": {"pad": 1.5},
+        "model": {},
+        "solve": {"dt": 1e-4, "T": 0.01, "record_every": 25},
+        "stefan": {"rho0": 0.995, "v_inf": 1.0, "eta": 1.0, "t0": 0.25},
+        "outputs": str(tmp_path / "narrow"),
+    }
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["stefan-oracle", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "leaves the window" in err and "stefan.rho0" in err and "ambient.pad" in err
+    # a window wide enough for the whole front path gives a finished report
+    raw["ambient"]["pad"] = 12.0
+    raw["outputs"] = str(tmp_path / "wide")
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["stefan-oracle", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "wide" / "stefan_report.json") as fh:
+        report = json.load(fh)
+    assert report["lambda"] == pytest.approx(10.0, rel=0.05)
+    assert math.isfinite(report["max_rel_error_late"])
 
 
 def test_lemma_suite_structured_window_failure(tmp_path):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from stefansim import Grid, GridFunction, State, SpectralOperator, apply_A, semigroup, K_A, state_norm
 from stefansim.errors import GridMismatch
-from stefansim.operators import smoothing_check
+from stefansim.operators import apply_factors, smoothing_check
 
 
 @pytest.fixture
@@ -134,3 +135,14 @@ def test_generator_consistency(op, grid):
         diff = (1.0 / eps) * (semigroup(op, eps, X) - X)
         errs.append(state_norm(diff - AX, "L2"))
     assert errs[1] < 0.7 * errs[0]
+
+
+@pytest.mark.parametrize("M", [127, 255])
+def test_apply_factors_matches_scipy_fft(M):
+    # operators takes its DST from the dispatch-free pocketfft entry; the
+    # golden outputs rest on it giving the bits of scipy.fft.dst
+    rng = np.random.default_rng(M)
+    F = rng.random((2, M))
+    Y = rng.standard_normal((2, M))
+    ref = scipy.fft.dst(F * scipy.fft.dst(Y, type=1), type=1)
+    assert np.array_equal(apply_factors(F, Y), ref)

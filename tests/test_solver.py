@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from stefansim.coefficients import (
     sigma_affine,
     sigma_zero,
 )
+from stefansim.experiments import load_config, resolve
 from stefansim.noise import NoiseIncrement
 from stefansim.solver import ExitEvent, Trajectory
 
@@ -227,6 +230,39 @@ def test_boundary_leaving_window_ends_path(grid):
     assert all(ambient.covers(X.p, grid.L) for X in traj.states[:-1])
 
 
+def test_noise_free_step_draws_nothing(grid, ambient):
+    # zero sigma: the product with the increment is zero whatever it is, so a
+    # step neither draws nor colors one, and a NaN increment cannot leak in
+    class NanStream:
+        def increment(self, k, dt_, amb):
+            return NoiseIncrement(np.full(amb.J, np.nan), k, dt_)
+
+    class CountingStream:
+        def __init__(self, stream):
+            self.stream, self.calls = stream, 0
+
+        def increment(self, k, dt_, amb):
+            self.calls += 1
+            return self.stream.increment(k, dt_, amb)
+
+    model = make_model(ambient, rho=rho_linear(0.5))
+    op = SpectralOperator(grid, 1.0, 1.0)
+    cfg = SolveConfig(dt=1e-3, T=0.05, n=INF, record_every=5)
+    ref = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=0), ambient)
+    nan = solve(op, model, cfg, sine_state(grid), NanStream(), ambient)
+    assert not nan.exited and np.isfinite(nan.values).all()
+    assert np.array_equal(nan.values, ref.values)
+    assert np.array_equal(nan.norm_h2, ref.norm_h2)
+
+    counted = CountingStream(NoiseStream(seed=0))
+    solve(op, model, cfg, sine_state(grid), counted, ambient)
+    assert counted.calls == 0
+    noisy = make_model(ambient, rho=rho_linear(0.5), sigma=sigma_affine(additive=0.3))
+    counted = CountingStream(NoiseStream(seed=0))
+    traj = solve(op, noisy, cfg, sine_state(grid), counted, ambient)
+    assert counted.calls == cfg.num_steps == len(traj.norm_h2) - 1
+
+
 def test_mild_vs_strong_identity(grid, ambient):
     # zero noise: X(t) - S_t X0 matches the Riemann sum of S_{t-s} B(X(s)) ds
     model = make_model(ambient, rho=rho_linear(0.5))
@@ -289,6 +325,43 @@ def test_strong_order_under_common_noise(ambient):
     ok = order >= 0.4
     line = (f"STRONG ORDER: {'PASS' if ok else 'FAIL'} - fitted order {order:.3f} (>=0.4, expected 1/2) "
             f"of E sup_t |X_dt - X_dt/2|_L2, dt = {dt:g}..{dt / 2**halvings:g}, {len(seeds)} seeds")
+    print(line, file=sys.__stdout__, flush=True)
+    REPORT_LINES.append(line)
+    assert ok
+
+
+def test_spatial_order_under_common_noise():
+    # The keyed noise lives on the ambient grid, which does not depend on M,
+    # so runs at M and 2M + 1 share their noise exactly, and their nodes nest:
+    # coarse node i is fine node 2i.  The semigroup is exact in the sine
+    # basis and the stencils are second order, so the expected order in h is 2.
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
+    Ms, seeds = (31, 63, 127, 255), range(16)
+    cfgs = [resolve(dict(base, grid=dict(base["grid"], M=M), mode="simulate", family=[8, "inf"])) for M in Ms]
+    assert len({c.ambient for c in cfgs}) == 1
+    orders = {}
+    for n in (8, INF):
+        err = np.zeros(len(Ms) - 1)
+        for seed in seeds:
+            paths = []
+            for c in cfgs:
+                traj = solve(c.operator, c.model, replace(c.solve, n=n), c.initial, NoiseStream(seed=seed), c.ambient)
+                assert not traj.exited
+                paths.append(traj)
+            for i, (a, b) in enumerate(zip(paths, paths[1:])):
+                assert np.array_equal(a.times, b.times)
+                Mc, h = a.grid.M, a.grid.h
+                coarse = a.values[:, : 2 * Mc].reshape(-1, 2, Mc)
+                fine = b.values[:, : 2 * b.grid.M].reshape(-1, 2, b.grid.M)[:, :, 1::2]
+                dist = np.sqrt(h * np.sum((coarse - fine) ** 2, axis=(1, 2)))
+                err[i] += np.max(dist + np.abs(a.values[:, -1] - b.values[:, -1]))
+        err /= len(seeds)
+        hs = [c.grid.h for c in cfgs[:-1]]
+        orders[n] = float(np.polyfit(np.log(hs), np.log(err), 1)[0])
+    ok = all(order >= 1.5 for order in orders.values())
+    line = (f"SPATIAL ORDER: {'PASS' if ok else 'FAIL'} - fitted order {orders[8]:.3f} at n=8, "
+            f"{orders[INF]:.3f} at n=inf (>=1.5, expected 2) of E sup_t (|X_M - X_2M+1|_L2 + |dp|) "
+            f"at the coarse nodes, M = {Ms[0]}..{Ms[-1]}, {len(seeds)} seeds")
     print(line, file=sys.__stdout__, flush=True)
     REPORT_LINES.append(line)
     assert ok
