@@ -13,7 +13,7 @@ from .errors import (
 from .grids import Grid, GridFunction, State, d1, d2, norm, state_norm, trace_grad, window_mean
 from .operators import SpectralOperator, apply_A, semigroup, K_A
 from .noise import AmbientGrid, Kernel, NoiseIncrement, NoiseStream, gaussian_kernel
-from .coefficients import CoefficientSet, TruncationSpec, drift_B, diffusion_C, Psi_n, h_r
+from .coefficients import CoefficientSet, TruncationSpec, h_r
 from .solver import ExitEvent, SolveConfig, Trajectory, exit_times, solve, step
 from .transform import F_inverse, F_transform, MovingProfile, iota
 

@@ -1,9 +1,10 @@
 """Model coefficients and the nonlinear parts of the evolution equation.
 
 Assembles the drift (pointwise reaction, interface-driven transport, identity
-shift) and the multiplicative diffusion, together with the smooth cutoff used
-to localize both.  Sign conventions for the reflected left phase: its spatial
-argument is -x and its slope argument carries the reflection sign.
+shift) and the multiplicative diffusion of a state held as padded phases
+U (2, M+2) and boundary p, together with the smooth cutoff ``h_r`` that the
+solver applies to both.  Sign conventions for the reflected left phase: its
+spatial argument is -x and its slope argument carries the reflection sign.
 """
 
 from __future__ import annotations
@@ -15,16 +16,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WindowUnresolved
-from .grids import Grid, GridFunction, State, diff1, interface_weights, state_norm
+from .grids import Grid, State, diff1, interface_weights, padded_state_norm, sq_norm
 from .noise import AmbientGrid, Kernel, NoiseIncrement, check_window, color_field
 
 __all__ = [
     "CoefficientSet",
     "TruncationSpec",
-    "N_mu",
-    "Psi_n",
-    "drift_B",
-    "diffusion_C",
     "transport_direction",
     "reaction",
     "interface_speed",
@@ -151,64 +148,25 @@ def diffusion_rows(
     return out
 
 
-def _state(grid: Grid, rows: np.ndarray, p: float) -> State:
-    return State(GridFunction(grid, rows[0]), GridFunction(grid, rows[1]), p)
-
-
-def _cut(spec: Optional[TruncationSpec], X: State, out: State) -> State:
-    if spec is not None:
-        f = h_r(spec, state_norm(X, "H2") ** 2)
-        if f != 1.0:
-            out = f * out
-    return out
-
-
-def N_mu(c: CoefficientSet, X: State) -> State:
-    """Pointwise reaction (mu+(x, u1, u1'), mu-(-x, u2, -u2'), 0)."""
-    U = X.padded()
-    return _state(X.grid, reaction(c, U, transport_direction(U, X.grid.h), X.grid), 0.0)
-
-
-def Psi_n(c: CoefficientSet, X: State, n) -> float:
-    """Interface speed: windowed volume imbalance for finite n, gradient jump at n = inf."""
-    return interface_speed(c, X.padded(), interface_weights(X.grid, n))
-
-
-def drift_B(c: CoefficientSet, X: State, n, spec: Optional[TruncationSpec] = None) -> State:
-    """Full drift N_mu + Psi_n * grad_bar + Id, optionally cut off outside the norm ball."""
-    U = X.padded()
-    g = transport_direction(U, X.grid.h)
-    rows, dp = drift_rows(c, U, X.p, g, interface_weights(X.grid, n), X.grid)
-    return _cut(spec, X, _state(X.grid, rows, dp))
-
-
-def diffusion_C(
-    c: CoefficientSet,
-    X: State,
-    inc: NoiseIncrement,
-    ambient: AmbientGrid,
-    spec: Optional[TruncationSpec] = None,
-) -> State:
-    """Multiplicative noise increment (sigma+(x, u1) xi+, sigma-(-x, u2) xi-, 0)."""
-    rows = diffusion_rows(c, X.padded(), X.p, lambda: inc, ambient, X.grid)
-    if rows is None:
-        rows = np.zeros((2, X.grid.M))
-    return _cut(spec, X, _state(X.grid, rows, 0.0))
-
-
 def psi_gap_bound(c: CoefficientSet, X: State, n: int):
     """Distance between the finite-n and limiting drifts, with its a-priori bound.
 
     Returns (gap, bound) where gap is the H1-state norm of B_n - B_inf at X
     and the bound is the 1/sqrt(n) estimate with an O(h) slack factor for the
-    discrete norms.  Requires the window to span at least ten cells so the
-    rate statement is meaningful on the grid.
+    discrete norms.  The reaction and identity parts of the two drifts
+    cancel, so B_n - B_inf = (Psi_n - Psi_inf) (u1', -u2', 1) and the gap is
+    |Psi_n - Psi_inf| times the H1-state norm of (u1', -u2', 1).  Requires
+    the window to span at least ten cells so the rate statement is
+    meaningful on the grid.
     """
-    h = X.grid.h
+    grid, h = X.grid, X.grid.h
     if 1.0 / n < 10.0 * h:
         raise WindowUnresolved(f"window 1/n = {1 / n} is below 10h = {10 * h}")
-    gap = state_norm(drift_B(c, X, n) - drift_B(c, X, INF), "H1")
-    R = state_norm(X, "H2")
+    U = X.padded()
+    g = transport_direction(U, h)
+    dpsi = interface_speed(c, U, interface_weights(grid, n)) - interface_speed(c, U, interface_weights(grid, INF))
+    gap = abs(dpsi) * math.sqrt(sq_norm(np.pad(g, ((0, 0), (1, 1))), h, "H1") + 1.0)
+    R = padded_state_norm(U, X.p, h, "H2", g)
     bound = c.rho_lipschitz(2.0 * R) * R * (1.0 + R) * (1.0 + 10.0 * h) / math.sqrt(n)
     return gap, bound
 

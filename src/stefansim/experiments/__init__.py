@@ -1,12 +1,5 @@
-from .config import ExperimentConfig, load_config, resolve
-from .runs import (
-    ConvergenceReport,
-    run_converge,
-    run_lemma_suite,
-    run_simulate,
-    run_stefan_oracle,
-    stefan_front_coefficient,
-)
+from .config import ExperimentConfig, load_config, resolve, stefan_front_coefficient
+from .runs import ConvergenceReport, run_converge, run_lemma_suite, run_simulate, run_stefan_oracle
 
 __all__ = [
     "ExperimentConfig",

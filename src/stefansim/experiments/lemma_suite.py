@@ -3,6 +3,9 @@
 Each check runs over seeded random draws and reports the worst observed
 ratio against its allowance.  Failures are data, not exceptions; structural
 problems (e.g. an unresolvable window) become failure rows with a reason.
+The checks of the model go through what the solver steps: the array
+functions of ``coefficients`` and one ``solver.step``, whose cutoff is the
+one a truncated run applies.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ import numpy as np
 from ..coefficients import (
     CoefficientSet,
     TruncationSpec,
-    Psi_n,
-    diffusion_C,
-    drift_B,
+    drift_rows,
+    interface_speed,
     psi_gap_bound,
+    transport_direction,
 )
 from ..errors import WindowUnresolved
 from ..grids import (
@@ -26,12 +29,15 @@ from ..grids import (
     GridFunction,
     State,
     d2,
+    interface_weights,
     norm,
+    sq_norm,
     state_norm,
     window_mean,
 )
 from ..noise import AmbientGrid, NoiseIncrement, NoiseStream, color_at
 from ..operators import K_A, SpectralOperator, apply_A, semigroup
+from ..solver import SolveConfig, step
 from .sampling import rough_state, smooth_gridfunction, smooth_state
 
 INF = math.inf
@@ -253,8 +259,10 @@ def check_equilip(rng, model, op, grid, samples, family):
         if dist == 0:
             continue
         lip = 2.0 * ka * model.rho_lipschitz(2.0 * ka * r) * (1.0 + 10.0 * grid.h)
+        UX, UY = X.padded(), Y.padded()
         for n in ns:
-            gap = abs(Psi_n(model, X, n) - Psi_n(model, Y, n))
+            w = interface_weights(grid, n)
+            gap = abs(interface_speed(model, UX, w) - interface_speed(model, UY, w))
             worst = max(worst, gap / (lip * dist))
     return _result("psi_uniform_lipschitz", worst, 1.0)
 
@@ -274,31 +282,39 @@ def check_window_bound(rng, grid, samples, family):
     return _result("window_arg_bound", worst, 1.0)
 
 
-def check_truncation_support(rng, model, grid, ambient, samples, family):
+def _sup_gap(X: State, Y: State) -> float:
+    """max |X - Y| over the entries of u1, u2 and p; 0.0 exactly when the states are equal."""
+    D = X - Y
+    return max(float(np.max(np.abs(D.padded()))), abs(D.p))
+
+
+def check_truncation_support(rng, model, op, ambient, samples, family):
+    """One truncated solver step is the bare semigroup step outside the cutoff ball
+    and the plain step inside it, bitwise: the cutoff factor is 0 or 1 there."""
+    grid = op.grid
     ns = _resolvable(grid, family) or [INF]
     spec = TruncationSpec(1.0)
+    dt = 1e-3
     stream = NoiseStream(seed=12345)
     worst = 0.0
     for i in range(min(samples, 40)):
         X = smooth_state(rng, grid, decay=2.0)
         s = state_norm(X, "H2")
-        inc = stream.increment(i, 1e-3, ambient)
-        n = ns[i % len(ns)]
+        inc = stream.increment(i, dt, ambient)
+        plain = SolveConfig(dt=dt, T=dt, n=ns[i % len(ns)])
+        cut = SolveConfig(dt=dt, T=dt, n=plain.n, truncation=spec)
         outside = (spec.r + 1.0) / s * 1.5 if s > 0 else None
         if outside:
             # scale the phases only so the boundary stays inside the window
             Xo = State(outside * X.u1, outside * X.u2, 0.9 * math.tanh(X.p))
             if state_norm(Xo, "H2") ** 2 >= (spec.r + 1.0) ** 2:
-                dn = state_norm(drift_B(model, Xo, n, spec), "H2")
-                cn = state_norm(diffusion_C(model, Xo, inc, ambient, spec), "H2")
-                worst = max(worst, dn, cn)
+                Y = step(op, model, cut, Xo, inc, ambient)
+                worst = max(worst, _sup_gap(Y, semigroup(op, dt, Xo)))
         inside = spec.r / s * 0.5 if s > 0 else None
         if inside:
             Xi = inside * X
-            gap = state_norm(
-                drift_B(model, Xi, n, spec) - drift_B(model, Xi, n, None), "H2"
-            )
-            worst = max(worst, gap)
+            Y = step(op, model, cut, Xi, inc, ambient)
+            worst = max(worst, _sup_gap(Y, step(op, model, plain, Xi, inc, ambient)))
     return _result("truncation_support", worst, 0.0)
 
 
@@ -311,8 +327,10 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
     if not (model.rho_bounded and model.sigma_affine_flag and model.mu_bounded_slopes):
         return LemmaResult("linear_growth", SKIP, 0.0, 0.0, "model not in the bounded regime")
     ns = _resolvable(grid, family) + [INF]
+    h = grid.h
     per_n = {}
     for n in ns:
+        w = interface_weights(grid, n)
         worst = 0.0
         local = np.random.default_rng(rng.integers(2**32))
         for _ in range(max(samples // 4, 20)):
@@ -321,9 +339,10 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
                 s = state_norm(X, "H2")
                 if s > 0:
                     X = (radius / s) * X
-                val = state_norm(drift_B(model, X, n), "H1") + _diffusion_hs_scale(
-                    model, X, ambient
-                )
+                U = X.padded()
+                rows, dp = drift_rows(model, U, X.p, transport_direction(U, h), w, grid)
+                drift_h1 = math.sqrt(sq_norm(np.pad(rows, ((0, 0), (1, 1))), h, "H1") + dp * dp)
+                val = drift_h1 + _diffusion_hs_scale(model, X, ambient)
                 worst = max(worst, val / (1.0 + state_norm(X, "H2")))
         per_n[n] = worst
     vals = list(per_n.values())
@@ -336,41 +355,26 @@ def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
     if not ns:
         return LemmaResult("psi_gap_rate", FAIL, math.inf, 0.0, "no n with 1/n >= 10h")
     worst = 0.0
-    medians = {}
-    per_n = {n: [] for n in ns}
-    for _ in range(samples):
-        X = rough_state(rng, grid, sigma=1.0)
-        for n in ns:
-            gap, bound = psi_gap_bound(model, X, n)
-            worst = max(worst, gap / max(bound, 1e-300))
-            per_n[n].append(gap * math.sqrt(n))
-    for n in ns:
-        medians[n] = float(np.median(per_n[n]))
-    vals = list(medians.values())
+
+    def medians(draw):
+        """Median of gap * sqrt(n) per n over ``samples`` states from ``draw()``."""
+        nonlocal worst
+        per_n = {n: [] for n in ns}
+        for _ in range(samples):
+            X = draw()
+            for n in ns:
+                gap, bound = psi_gap_bound(model, X, n)
+                worst = max(worst, gap / max(bound, 1e-300))
+                per_n[n].append(gap * math.sqrt(n))
+        return {n: float(np.median(v)) for n, v in per_n.items()}
+
     # generic H2-rough states: the rescaled gap is flat in n (factor-2 stability)
-    ok_rate = max(vals) < 2.0 * min(vals)
-
+    rough = medians(lambda: rough_state(rng, grid, sigma=1.0))
+    ok_rate = max(rough.values()) < 2.0 * min(rough.values())
     # genuinely smooth states: gap * sqrt(n) decays, nonincreasing up to O(h) noise
-    smooth_medians = {}
-    per_n_s = {n: [] for n in ns}
-    for _ in range(samples):
-        Xs = smooth_state(rng, grid, decay=3.0)
-        for n in ns:
-            gap, bound = psi_gap_bound(model, Xs, n)
-            worst = max(worst, gap / max(bound, 1e-300))
-            per_n_s[n].append(gap * math.sqrt(n))
-    for n in ns:
-        smooth_medians[n] = float(np.median(per_n_s[n]))
-    for a, b in zip(ns, ns[1:]):
-        if smooth_medians[b] > smooth_medians[a] * (1.0 + 10.0 * grid.h):
-            ok_rate = False
-
-    res = _result(
-        "psi_gap_bound",
-        worst,
-        1.0,
-        f"rough medians {medians}; smooth medians {smooth_medians}",
-    )
+    smooth = medians(lambda: smooth_state(rng, grid, decay=3.0))
+    ok_rate = ok_rate and all(smooth[b] <= smooth[a] * (1.0 + 10.0 * grid.h) for a, b in zip(ns, ns[1:]))
+    res = _result("psi_gap_bound", worst, 1.0, f"rough medians {rough}; smooth medians {smooth}")
     if not ok_rate:
         res.status = FAIL
     return res
@@ -414,7 +418,7 @@ def run_suite(
     guard(lambda: check_coloring_variance(rng, model, ambient), "coloring_variance")
     guard(lambda: check_equilip(rng, model, op, grid, min(samples, 100), family), "psi_uniform_lipschitz")
     guard(lambda: check_window_bound(rng, grid, samples, family), "window_arg_bound")
-    guard(lambda: check_truncation_support(rng, model, grid, ambient, samples, family), "truncation_support")
+    guard(lambda: check_truncation_support(rng, model, op, ambient, samples, family), "truncation_support")
     guard(lambda: check_linear_growth(rng, model, grid, ambient, samples, family), "linear_growth")
 
     gap_grid = grid if 1.0 / 64 >= 10.0 * grid.h else Grid(grid.L, 1023)

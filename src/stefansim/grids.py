@@ -9,13 +9,14 @@ consistent with the dynamics.
 A :class:`State` is the triple (u1, u2, p): right phase, reflected left
 phase and boundary position.
 
-``GridFunction`` and ``State`` are the API boundary.  The solver does not
-step them: it steps one contiguous padded buffer of shape (2, M+2) per path,
-rows u1 and u2 with zero end columns for the Dirichlet nodes, plus the
+``GridFunction`` and ``State`` are value types at the API boundary: initial
+states, recorded states and the samples of the lemma battery.  The model
+exists only on padded arrays, one contiguous buffer of shape (2, M+2) per
+path, rows u1 and u2 with zero end columns for the Dirichlet nodes, plus the
 scalar p.  The differences, norms and window functionals are written once,
-for padded arrays (``diff1``, ``diff2``, ``sq_norm``, ``interface_weights``);
-``d1``, ``d2``, ``norm``, ``state_norm``, ``trace_grad`` and ``window_mean``
-are thin adapters over them.
+for padded arrays (``diff1``, ``diff2``, ``sq_norm``, ``padded_state_norm``,
+``interface_weights``); ``d1``, ``d2``, ``norm``, ``state_norm``,
+``trace_grad`` and ``window_mean`` read a value through them.
 """
 
 from __future__ import annotations
@@ -162,13 +163,6 @@ class State:
         out[0, 1:-1] = self.u1.values
         out[1, 1:-1] = self.u2.values
         return out
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.u1.values))
-            and np.all(np.isfinite(self.u2.values))
-            and math.isfinite(self.p)
-        )
 
     def __add__(self, other: "State") -> "State":
         return State(self.u1 + other.u1, self.u2 + other.u2, self.p + other.p)

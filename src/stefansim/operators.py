@@ -18,14 +18,13 @@ import numpy as np
 from scipy.fftpack import dst
 
 from .errors import GridMismatch
-from .grids import Grid, GridFunction, State, d1, d2, norm, state_norm
+from .grids import Grid, GridFunction, State, d2, norm, state_norm
 
 __all__ = [
     "SpectralOperator",
     "apply_A",
     "semigroup",
     "semigroup_factors",
-    "apply_semigroup_factors",
     "apply_factors",
     "K_A",
     "smoothing_check",
@@ -94,21 +93,17 @@ def apply_factors(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dst(F * dst(Y, type=1), type=1)
 
 
-def apply_semigroup_factors(op: SpectralOperator, factors, X: State) -> State:
-    if X.grid != op.grid:
-        raise GridMismatch("state grid does not match operator grid")
-    F, fs = factors
-    v = apply_factors(F, np.stack((X.u1.values, X.u2.values)))
-    return State(GridFunction(op.grid, v[0]), GridFunction(op.grid, v[1]), fs * X.p)
-
-
 def semigroup(op: SpectralOperator, t: float, X: State) -> State:
     """Apply e^{tA} exactly in the discrete sine basis; t = 0 is the identity."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0.0:
         return X
-    return apply_semigroup_factors(op, semigroup_factors(op, t), X)
+    if X.grid != op.grid:
+        raise GridMismatch("state grid does not match operator grid")
+    F, fp = semigroup_factors(op, t)
+    v = apply_factors(F, np.stack((X.u1.values, X.u2.values)))
+    return State(GridFunction(op.grid, v[0]), GridFunction(op.grid, v[1]), fp * X.p)
 
 
 def K_A(op: SpectralOperator) -> float:

@@ -6,10 +6,13 @@ unconditionally stable in the stiff linear part, first order in dt in the
 drift, Ito (left endpoint) in the noise.  A step whose diffusion coefficients
 vanish at the current state draws no noise increment.
 
-The loop of ``solve`` steps one contiguous padded buffer of shape (2, M+2)
-per path, rows u1 and u2 with zero end columns for the Dirichlet nodes, plus
-the scalar p, and records dense rows u1 | u2 | p.  ``step`` runs the same
-step for one ``State``.
+The model exists only on padded arrays: ``_advance`` steps one contiguous
+buffer of shape (2, M+2) per path, rows u1 and u2 with zero end columns for
+the Dirichlet nodes, plus the scalar p, through the array functions of
+``coefficients``, and applies the cutoff of a truncated run there.  ``solve``
+loops it and records dense rows u1 | u2 | p; ``step`` runs it once from a
+``State`` and returns one, which is how the lemma battery checks the cutoff
+that runs.
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ from .errors import BoundaryLeftWindow, GridMismatch, NonFiniteState
 from .grids import Grid, State, interface_weights, padded_state_norm
 from .noise import AmbientGrid, NoiseIncrement, NoiseStream
 from .operators import SpectralOperator, apply_factors, semigroup_factors
-
-# The State-level layers stay importable here because perfbench/tracing.py
-# hooks them by these names; the array loop below does not call them.
-from .coefficients import diffusion_C, drift_B  # noqa: F401
-from .grids import state_norm  # noqa: F401
-from .operators import apply_semigroup_factors  # noqa: F401
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
 
@@ -142,24 +139,17 @@ def step(
     X: State,
     inc: NoiseIncrement,
     ambient: AmbientGrid,
-    factors=None,
-    norm_h2: Optional[float] = None,
 ) -> State:
-    """One exponential-Euler step; deterministic given (X, inc).
-
-    ``norm_h2`` is the H2-state norm of X, if the caller already has it.
-    """
+    """One exponential-Euler step of ``solve``; deterministic given (X, inc)."""
     if X.grid != op.grid:
         raise GridMismatch("state grid does not match operator grid")
     h = op.grid.h
     U = X.padded()
     g = transport_direction(U, h)
-    if factors is None:
-        factors = semigroup_factors(op, cfg.dt)
-    if norm_h2 is None and cfg.truncation is not None:
-        norm_h2 = padded_state_norm(U, X.p, h, "H2", g)
+    nrm = padded_state_norm(U, X.p, h, "H2", g)
+    factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    U, p = _advance(op, c, cfg, U, X.p, g, norm_h2, lambda: inc, inc.step_index, ambient, factors, w)
+    U, p = _advance(op, c, cfg, U, X.p, g, nrm, lambda: inc, inc.step_index, ambient, factors, w)
     return State.from_flat(op.grid, np.append(U[:, 1:-1], p))
 
 

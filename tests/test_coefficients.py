@@ -9,30 +9,37 @@ from stefansim import (
     Grid,
     GridFunction,
     NoiseStream,
-    Psi_n,
+    SolveConfig,
+    SpectralOperator,
     State,
     TruncationSpec,
-    diffusion_C,
-    drift_B,
     gaussian_kernel,
     h_r,
+    semigroup,
     state_norm,
+    step,
 )
 from stefansim.coefficients import (
     INF,
-    N_mu,
+    diffusion_rows,
+    drift_rows,
+    interface_speed,
     mu_linear,
     mu_quadratic,
+    mu_saturated,
     mu_zero,
     psi_gap_bound,
+    reaction,
     rho_linear,
     rho_tanh,
     rho_zero,
     sigma_affine,
     sigma_zero,
+    transport_direction,
 )
 from stefansim.errors import WindowUnresolved
-from stefansim.grids import d1
+from stefansim.experiments.sampling import rough_state
+from stefansim.grids import d1, interface_weights, sq_norm
 
 
 @pytest.fixture
@@ -60,6 +67,17 @@ def make_model(ambient, mu=None, sigma=None, rho=None):
     )
 
 
+def psi(model, X, n):
+    return interface_speed(model, X.padded(), interface_weights(X.grid, n))
+
+
+def drift(model, X, n):
+    """The drift B_n at X as a State, from the array function the solver steps."""
+    U = X.padded()
+    rows, dp = drift_rows(model, U, X.p, transport_direction(U, X.grid.h), interface_weights(X.grid, n), X.grid)
+    return State(GridFunction(X.grid, rows[0]), GridFunction(X.grid, rows[1]), dp)
+
+
 def test_boundary_condition_enforced(ambient):
     with pytest.raises(ValueError):
         make_model(ambient, sigma=lambda x, v: np.ones_like(np.asarray(v, dtype=float)))
@@ -80,17 +98,17 @@ def test_boundary_condition_enforced(ambient):
 def test_N_mu_identity_and_slope(grid, ambient):
     f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
     g = GridFunction.from_callable(grid, lambda x: x * (1 - x))
-    X = State(f, g, 0.3)
+    U = State(f, g, 0.3).padded()
+    slope = transport_direction(U, grid.h)
 
-    out = N_mu(make_model(ambient, mu=mu_linear(c_v=1.0)), X)
-    assert np.array_equal(out.u1.values, f.values)
-    assert np.array_equal(out.u2.values, g.values)
-    assert out.p == 0.0
+    out = reaction(make_model(ambient, mu=mu_linear(c_v=1.0)), U, slope, grid)
+    assert np.array_equal(out[0], f.values)
+    assert np.array_equal(out[1], g.values)
 
-    out = N_mu(make_model(ambient, mu=mu_linear(c_vp=1.0)), X)
-    assert np.allclose(out.u1.values, d1(f).values)
+    out = reaction(make_model(ambient, mu=mu_linear(c_vp=1.0)), U, slope, grid)
+    assert np.allclose(out[0], d1(f).values)
     # reflected slot carries the reflection sign on its slope argument
-    assert np.allclose(out.u2.values, -d1(g).values)
+    assert np.allclose(out[1], -d1(g).values)
 
 
 def test_psi_linear_data(grid, ambient):
@@ -98,8 +116,8 @@ def test_psi_linear_data(grid, ambient):
     f = GridFunction.from_callable(grid, lambda x: x)
     X = State(f, GridFunction.zero(grid), 0.0)
     for n in (2, 4, 8):
-        assert Psi_n(model, X, n) == pytest.approx(1.0, abs=1e-12)
-    assert Psi_n(model, X, INF) == pytest.approx(1.0, abs=1e-12)
+        assert psi(model, X, n) == pytest.approx(1.0, abs=1e-12)
+    assert psi(model, X, INF) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_quadratic_gap(grid, ambient):
@@ -107,21 +125,21 @@ def test_psi_quadratic_gap(grid, ambient):
     f = GridFunction.from_callable(grid, lambda x: x * x)
     X = State(f, GridFunction.zero(grid), 0.0)
     for n in (2, 4, 8):
-        assert Psi_n(model, X, n) == pytest.approx(2.0 / (3.0 * n), abs=5 * grid.h**2)
-    assert abs(Psi_n(model, X, INF)) < 5 * grid.h**2
+        assert psi(model, X, n) == pytest.approx(2.0 / (3.0 * n), abs=5 * grid.h**2)
+    assert abs(psi(model, X, INF)) < 5 * grid.h**2
 
 
 def test_psi_window_unresolved(grid, ambient):
     model = make_model(ambient, rho=rho_linear(1.0))
     with pytest.raises(WindowUnresolved):
-        Psi_n(model, State.zero(grid), 100)
+        psi(model, State.zero(grid), 100)
 
 
 def test_drift_transport_structure(grid, ambient):
     model = make_model(ambient, rho=(lambda a, b: 1.0, lambda r: 0.0))
     f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
     X = State(f, f, 0.2)
-    out = drift_B(model, X, INF)
+    out = drift(model, X, INF)
     assert np.allclose(out.u1.values, d1(f).values + f.values)
     assert np.allclose(out.u2.values, -d1(f).values + f.values)
     assert out.p == pytest.approx(1.0 + 0.2)
@@ -129,23 +147,30 @@ def test_drift_transport_structure(grid, ambient):
 
 def test_drift_cutoff_support(grid, ambient):
     model = make_model(ambient, rho=rho_tanh(1.0))
+    op = SpectralOperator(grid, 1.0, 1.0)
     f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
     X = State(5.0 * f, GridFunction.zero(grid), 0.0)
     spec = TruncationSpec(0.5)
+    plain = SolveConfig(dt=1e-3, T=1e-3, n=INF)
+    cut = SolveConfig(dt=1e-3, T=1e-3, n=INF, truncation=spec)
+    inc = NoiseStream(seed=0).increment(0, 1e-3, ambient)
     assert state_norm(X, "H2") ** 2 > (spec.r + 1.0) ** 2
-    assert state_norm(drift_B(model, X, INF, spec), "H2") == 0.0
-    # inside the ball the truncated drift coincides bitwise with the plain one
+    # outside the ball the truncated step adds no drift: it is the bare semigroup step
+    Y = step(op, model, cut, X, inc, ambient)
+    S = semigroup(op, 1e-3, X)
+    assert np.array_equal(Y.u1.values, S.u1.values) and np.array_equal(Y.u2.values, S.u2.values) and Y.p == S.p
+    # inside the ball the truncated step coincides bitwise with the plain one
     Xs = 0.001 * X
-    a = drift_B(model, Xs, INF, spec)
-    b = drift_B(model, Xs, INF, None)
+    a = step(op, model, cut, Xs, inc, ambient)
+    b = step(op, model, plain, Xs, inc, ambient)
     assert np.array_equal(a.u1.values, b.u1.values) and a.p == b.p
 
 
 def test_diffusion_zero_sigma(grid, ambient):
     model = make_model(ambient)
     inc = NoiseStream(seed=0).increment(0, 0.01, ambient)
-    out = diffusion_C(model, State.zero(grid), inc, ambient)
-    assert state_norm(out, "H2") == 0.0
+    # zero sigma rows: the product is zero and None stands for it
+    assert diffusion_rows(model, State.zero(grid).padded(), 0.0, lambda: inc, ambient, grid) is None
 
 
 def test_diffusion_multiplicative_boundary_decay(grid, ambient):
@@ -153,11 +178,10 @@ def test_diffusion_multiplicative_boundary_decay(grid, ambient):
     f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
     X = State(f, GridFunction.zero(grid), 0.0)
     inc = NoiseStream(seed=1).increment(0, 0.01, ambient)
-    out = diffusion_C(model, X, inc, ambient)
+    out = diffusion_rows(model, X.padded(), X.p, lambda: inc, ambient, grid)
     # first interior node value inherits the O(h) smallness of u1 there
-    assert abs(out.u1.values[0]) <= abs(f.values[0]) * np.max(np.abs(inc.dW)) * 10.0
-    assert np.max(np.abs(out.u2.values)) == 0.0
-    assert out.p == 0.0
+    assert abs(out[0, 0]) <= abs(f.values[0]) * np.max(np.abs(inc.dW)) * 10.0
+    assert np.max(np.abs(out[1])) == 0.0
 
 
 def test_h_r_shape():
@@ -202,6 +226,25 @@ def test_psi_gap_bound_holds(ambient):
         for n in (4, 16, 64):
             gap, bound = psi_gap_bound(model, X, n)
             assert gap <= bound
+
+
+def test_psi_gap_closed_form_matches_drift_difference(ambient):
+    # B_n - B_inf = (Psi_n - Psi_inf) (u1', -u2', 1): the closed form against
+    # the H1-state norm of the difference of two drifts
+    grid = Grid(1.0, 1023)
+    h = grid.h
+    model = make_model(ambient, mu=mu_saturated(0.5, 1.0), rho=rho_tanh(1.0))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        X = rough_state(rng, grid, sigma=1.0)
+        U = X.padded()
+        g = transport_direction(U, h)
+        a, ap = drift_rows(model, U, X.p, g, interface_weights(grid, INF), grid)
+        for n in (4, 16, 64):
+            b, bp = drift_rows(model, U, X.p, g, interface_weights(grid, n), grid)
+            ref = math.sqrt(sq_norm(np.pad(b - a, ((0, 0), (1, 1))), h, "H1") + (bp - ap) ** 2)
+            gap, _ = psi_gap_bound(model, X, n)
+            assert gap == pytest.approx(ref, rel=1e-10)
 
 
 def test_psi_gap_requires_fine_grid(grid, ambient):

@@ -22,6 +22,7 @@ from stefansim.experiments import (
     run_stefan_oracle,
     stefan_front_coefficient,
 )
+from stefansim.experiments import lemma_suite
 from stefansim.experiments.config import parse_family, parse_seeds
 from stefansim.experiments.runs import _write_table
 from stefansim.noise import NoiseStream
@@ -411,6 +412,43 @@ def test_cli_stefan_oracle_front_leaving_window(tmp_path, capsys):
         report = json.load(fh)
     assert report["lambda"] == pytest.approx(10.0, rel=0.05)
     assert math.isfinite(report["max_rel_error_late"])
+
+
+def test_stefan_oracle_resolution_warning(tmp_path, capsys):
+    from stefansim.cli import main
+    from stefansim.experiments.config import read_config
+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    shipped = read_config(os.path.join(root, "configs", "stefan.yaml"))
+    assert resolve(shipped).warnings == []  # 74 cells across the boundary layer
+    # Stefan number 0.995 in a window wide enough for the front: about 3 cells
+    raw = dict(shipped, ambient={"pad": 15}, stefan=dict(shipped["stefan"], rho0=0.995, v_inf=1.0),
+               solve=dict(shipped["solve"], T=0.01), outputs=str(tmp_path / "narrow_layer"))
+    (warning,) = resolve(raw).warnings
+    assert "boundary layer" in warning and "fewer than 16" in warning
+    # the window check moved into resolve with it
+    with pytest.raises(ConfigError, match="leaves the window"):
+        resolve(dict(raw, ambient={"pad": 1.5}))
+
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["stefan-oracle", "--config", str(cfg_path)]) == 0
+    assert "warning: the similarity boundary layer" in capsys.readouterr().err
+    with open(tmp_path / "narrow_layer" / "manifest.json") as fh:
+        assert json.load(fh)["warnings"] == [warning]
+
+
+def test_lemma_truncation_support_checks_the_running_cutoff(tmp_path, monkeypatch):
+    # the check steps the solver, so a cutoff that never cuts fails it
+    cfg = resolve(base_raw(tmp_path, mode="lemma-suite"))
+
+    def check():
+        rng = np.random.default_rng(0)
+        return lemma_suite.check_truncation_support(rng, cfg.model, cfg.operator, cfg.ambient, 40, cfg.family)
+
+    assert check().status == lemma_suite.PASS
+    monkeypatch.setattr("stefansim.coefficients.h_r", lambda spec, s: 1.0)
+    assert check().status == lemma_suite.FAIL
 
 
 def test_lemma_suite_structured_window_failure(tmp_path):
