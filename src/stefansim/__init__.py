@@ -10,7 +10,7 @@ from .errors import (
     StefansimError,
     WindowUnresolved,
 )
-from .grids import Grid, GridFunction, State, d1, d2, norm, state_norm, trace_grad, window_mean
+from .grids import Grid, state_norm
 from .operators import SpectralOperator, apply_A, semigroup, K_A
 from .noise import AmbientGrid, Kernel, NoiseIncrement, NoiseStream, gaussian_kernel
 from .coefficients import CoefficientSet, TruncationSpec, h_r

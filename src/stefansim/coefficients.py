@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WindowUnresolved
-from .grids import Grid, State, diff1, interface_weights, padded_state_norm, sq_norm
+from .grids import Grid, diff1, interface_weights, padded, padded_state_norm, sq_norm
 from .noise import AmbientGrid, Kernel, NoiseIncrement, check_window, color_field
 
 __all__ = [
@@ -148,10 +148,10 @@ def diffusion_rows(
     return out
 
 
-def psi_gap_bound(c: CoefficientSet, X: State, n: int):
+def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
     """Distance between the finite-n and limiting drifts, with its a-priori bound.
 
-    Returns (gap, bound) where gap is the H1-state norm of B_n - B_inf at X
+    Returns (gap, bound) where gap is the H1-state norm of B_n - B_inf at the state row x
     and the bound is the 1/sqrt(n) estimate with an O(h) slack factor for the
     discrete norms.  The reaction and identity parts of the two drifts
     cancel, so B_n - B_inf = (Psi_n - Psi_inf) (u1', -u2', 1) and the gap is
@@ -159,14 +159,14 @@ def psi_gap_bound(c: CoefficientSet, X: State, n: int):
     the window to span at least ten cells so the rate statement is
     meaningful on the grid.
     """
-    grid, h = X.grid, X.grid.h
+    h = grid.h
     if 1.0 / n < 10.0 * h:
         raise WindowUnresolved(f"window 1/n = {1 / n} is below 10h = {10 * h}")
-    U = X.padded()
+    U = padded(grid, x)
     g = transport_direction(U, h)
     dpsi = interface_speed(c, U, interface_weights(grid, n)) - interface_speed(c, U, interface_weights(grid, INF))
     gap = abs(dpsi) * math.sqrt(sq_norm(np.pad(g, ((0, 0), (1, 1))), h, "H1") + 1.0)
-    R = padded_state_norm(U, X.p, h, "H2", g)
+    R = padded_state_norm(U, float(x[-1]), h, "H2", g)
     bound = c.rho_lipschitz(2.0 * R) * R * (1.0 + R) * (1.0 + 10.0 * h) / math.sqrt(n)
     return gap, bound
 

@@ -19,7 +19,7 @@ from scipy.special import erfcx
 
 from .. import coefficients as coef
 from ..errors import ConfigError
-from ..grids import Grid, GridFunction, State
+from ..grids import Grid
 from ..noise import AmbientGrid, gaussian_kernel
 from ..operators import SpectralOperator
 from ..solver import SolveConfig
@@ -229,14 +229,15 @@ def build_coefficients(model: dict, ambient: AmbientGrid) -> coef.CoefficientSet
     )
 
 
-def build_initial_state(d: dict, grid: Grid) -> State:
+def build_initial_state(d: dict, grid: Grid) -> np.ndarray:
+    """The initial state row u1 | u2 | p of the ``initial`` section."""
     kind = _mapping(d, "initial").get("kind", "zero")
     if kind not in _INITIAL_KEYS:
         raise ConfigError(f"unknown initial-state kind {kind!r}; choose from {sorted(_INITIAL_KEYS)}")
     _mapping(d, f"initial ({kind})", ("kind",) + _INITIAL_KEYS[kind])
     p0 = _as_float(d.get("p0", 0.0), "initial.p0")
     if kind == "zero":
-        return State(GridFunction.zero(grid), GridFunction.zero(grid), p0)
+        return np.append(np.zeros(2 * grid.M), p0)
     a1 = _as_float(d.get("amplitude", 1.0), "initial.amplitude")
     if kind == "sine":
         a2 = _as_float(d.get("amplitude2", 0.0), "initial.amplitude2")
@@ -246,8 +247,8 @@ def build_initial_state(d: dict, grid: Grid) -> State:
         a2 = _as_float(d.get("amplitude2", a1), "initial.amplitude2")
         w = _as_float(d.get("width", 0.5), "initial.width")
         fn = lambda x: x * np.exp(-((x / w) ** 2))
-    base = GridFunction.from_callable(grid, fn)
-    return State(a1 * base, a2 * base, p0)
+    base = fn(grid.nodes)
+    return np.concatenate((a1 * base, a2 * base, [p0]))
 
 
 def stefan_params(raw: dict, eta: float):
@@ -331,7 +332,7 @@ class ExperimentConfig:
     ambient: AmbientGrid
     model: coef.CoefficientSet
     operator: SpectralOperator
-    initial: State
+    initial: np.ndarray  # the state row u1 | u2 | p
     solve: SolveConfig
     family: list
     seeds: list
@@ -354,7 +355,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         grid = build_grid(_require(raw, "grid", "config"))
     initial = build_initial_state(raw.get("initial", {"kind": "zero"}), grid)
     with _invalid("ambient"):
-        ambient = build_ambient(raw.get("ambient", {}), grid, initial.p)
+        ambient = build_ambient(raw.get("ambient", {}), grid, float(initial[-1]))
     with _invalid("model"):
         model = build_coefficients(raw.get("model", {}), ambient)
     operator = SpectralOperator(grid, model.eta_plus, model.eta_minus)

@@ -24,21 +24,11 @@ from ..coefficients import (
     transport_direction,
 )
 from ..errors import WindowUnresolved
-from ..grids import (
-    Grid,
-    GridFunction,
-    State,
-    d2,
-    interface_weights,
-    norm,
-    sq_norm,
-    state_norm,
-    window_mean,
-)
+from ..grids import Grid, diff2, interface_weights, padded, sq_norm, state_norm
 from ..noise import AmbientGrid, NoiseIncrement, NoiseStream, color_at
 from ..operators import K_A, SpectralOperator, apply_A, semigroup
 from ..solver import SolveConfig, step
-from .sampling import rough_state, smooth_gridfunction, smooth_state
+from .sampling import rough_state, smooth_phase, smooth_state
 
 INF = math.inf
 
@@ -70,11 +60,20 @@ def _resolvable(grid: Grid, family):
     return [n for n in family if n != INF and 1.0 / n >= 2.0 * grid.h]
 
 
+def _padded_phase(rng, grid, decay):
+    """A smooth random phase with its zero values at x = 0 and x = L, shape (M+2,)."""
+    return np.pad(smooth_phase(rng, grid, decay=decay), 1)
+
+
+def _norm(F, grid, order):
+    return math.sqrt(sq_norm(F, grid.h, order))
+
+
 def check_norm_monotone(rng, grid, samples):
     worst = 0.0
     for _ in range(samples):
-        f = smooth_gridfunction(rng, grid, decay=2.0)
-        l2, h1, h2 = norm(f, "L2"), norm(f, "H1"), norm(f, "H2")
+        F = _padded_phase(rng, grid, 2.0)
+        l2, h1, h2 = _norm(F, grid, "L2"), _norm(F, grid, "H1"), _norm(F, grid, "H2")
         worst = max(worst, l2 - h1, h1 - h2)
     return _result("norm_monotone", worst, 0.0)
 
@@ -89,13 +88,13 @@ def check_intnorm(rng, grid, samples, family):
         w = 0.0
         local = np.random.default_rng(rng.integers(2**32))
         for _ in range(samples):
-            f = smooth_gridfunction(local, g, decay=2.0)
-            h2 = norm(f, "H2")
+            F = _padded_phase(local, g, 2.0)
+            h2 = _norm(F, g, "H2")
             if h2 == 0:
                 continue
             for n in ns:
                 z = 1.0 / n
-                integral = window_mean(f, n) / (2.0 * n * n)
+                integral = float(interface_weights(g, n) @ F) / (2.0 * n * n)
                 w = max(w, abs(integral) / (z * z * h2))
         return w
 
@@ -116,11 +115,11 @@ def check_intnorm(rng, grid, samples, family):
 def check_trace_bound(rng, grid, samples):
     worst = 0.0
     for _ in range(samples):
-        f = smooth_gridfunction(rng, grid, decay=2.0)
-        h2 = norm(f, "H2")
+        F = _padded_phase(rng, grid, 2.0)
+        h2 = _norm(F, grid, "H2")
         if h2 == 0:
             continue
-        worst = max(worst, np.max(np.abs(f.values)) / h2)
+        worst = max(worst, np.max(np.abs(F)) / h2)
     return _result("trace_sup_bound", worst, 2.0 * (1.0 + 10.0 * grid.h))
 
 
@@ -128,14 +127,15 @@ def check_d2_symmetric_negative(rng, grid, samples):
     worst_sym = 0.0
     worst_neg = 0.0
     for _ in range(samples):
-        f = smooth_gridfunction(rng, grid, decay=1.5)
-        g = smooth_gridfunction(rng, grid, decay=1.5)
-        a = float(np.dot(d2(f).values, g.values))
-        b = float(np.dot(f.values, d2(g).values))
+        F = _padded_phase(rng, grid, 1.5)
+        G = _padded_phase(rng, grid, 1.5)
+        f, g = F[1:-1], G[1:-1]
+        a = float(np.dot(diff2(F, grid.h), g))
+        b = float(np.dot(f, diff2(G, grid.h)))
         scale = max(abs(a), abs(b), 1e-300)
         worst_sym = max(worst_sym, abs(a - b) / scale)
-        quad = float(np.dot(d2(f).values, f.values))
-        worst_neg = max(worst_neg, quad / max(np.dot(f.values, f.values), 1e-300))
+        quad = float(np.dot(diff2(F, grid.h), f))
+        worst_neg = max(worst_neg, quad / max(np.dot(f, f), 1e-300))
     res = _result("d2_symmetric", worst_sym, 1e-10)
     neg = _result("d2_negative", worst_neg, 0.0)
     return [res, neg]
@@ -144,11 +144,10 @@ def check_d2_symmetric_negative(rng, grid, samples):
 def check_eigen_exactness(op: SpectralOperator, grid: Grid):
     worst = 0.0
     for k in (1, 2, grid.M // 2, grid.M):
-        phi = GridFunction.from_callable(grid, lambda x, k=k: np.sin(k * np.pi * x / grid.L))
-        X = State(phi, GridFunction.zero(grid), 0.0)
-        AX = apply_A(op, X)
-        expected = op.eigenvalues_plus[k - 1] * phi.values
-        worst = max(worst, np.max(np.abs(AX.u1.values - expected)) / np.max(np.abs(expected)))
+        phi = np.sin(k * np.pi * grid.nodes / grid.L)
+        AX = apply_A(op, np.concatenate((phi, np.zeros(grid.M + 1))))
+        expected = op.eigenvalues_plus[k - 1] * phi
+        worst = max(worst, np.max(np.abs(AX[: grid.M] - expected)) / np.max(np.abs(expected)))
     return _result("eigen_exactness", worst, 1e-12)
 
 
@@ -159,8 +158,8 @@ def check_semigroup_property(rng, op, grid, samples):
         t, s = rng.uniform(0.01, 0.5, 2)
         a = semigroup(op, t, semigroup(op, s, X))
         b = semigroup(op, t + s, X)
-        denom = max(state_norm(b, "L2"), 1e-300)
-        worst = max(worst, state_norm(a - b, "L2") / denom)
+        denom = max(state_norm(grid, b, "L2"), 1e-300)
+        worst = max(worst, state_norm(grid, a - b, "L2") / denom)
     return _result("semigroup_property", worst, 1e-12)
 
 
@@ -170,7 +169,7 @@ def check_generator_consistency(rng, op, grid):
     errs = []
     for eps in (1e-3, 5e-4):
         diff = (1.0 / eps) * (semigroup(op, eps, X) - X)
-        errs.append(state_norm(diff - AX, "L2"))
+        errs.append(state_norm(grid, diff - AX, "L2"))
     ratio = errs[1] / max(errs[0], 1e-300)
     # halving eps should roughly halve the error (first order)
     return _result("generator_consistency", ratio, 0.7, f"errors={errs[0]:.3g},{errs[1]:.3g}")
@@ -181,8 +180,8 @@ def check_negative_type(rng, op, grid, samples):
     for _ in range(samples):
         X = smooth_state(rng, grid, decay=1.5)
         t = float(rng.uniform(0.0, 2.0))
-        lhs = state_norm(semigroup(op, t, X), "L2")
-        rhs = math.exp(-t) * state_norm(X, "L2")
+        lhs = state_norm(grid, semigroup(op, t, X), "L2")
+        rhs = math.exp(-t) * state_norm(grid, X, "L2")
         worst = max(worst, lhs - rhs * (1.0 + 1e-12))
     return _result("negative_type", worst, 0.0)
 
@@ -228,15 +227,15 @@ def check_coloring_variance(rng, model: CoefficientSet, ambient: AmbientGrid):
     return _result("coloring_variance", rel, 0.05)
 
 
-def _diffusion_hs_scale(c: CoefficientSet, X: State, ambient: AmbientGrid) -> float:
-    """Discrete Hilbert-Schmidt scale of the diffusion operator at X."""
-    g = X.grid
+def _diffusion_hs_scale(c: CoefficientSet, g: Grid, X: np.ndarray, ambient: AmbientGrid) -> float:
+    """Discrete Hilbert-Schmidt scale of the diffusion operator at the state row X."""
     x = g.nodes
+    p = float(X[-1])
     ys = ambient.nodes
-    prof_plus = np.sqrt(np.sum(c.kernel.zeta((X.p + x)[:, None], ys) ** 2, axis=1) * ambient.dy)
-    prof_minus = np.sqrt(np.sum(c.kernel.zeta((X.p - x)[:, None], ys) ** 2, axis=1) * ambient.dy)
-    s1 = np.broadcast_to(c.sigma_plus(x, X.u1.values), (g.M,)) * prof_plus
-    s2 = np.broadcast_to(c.sigma_minus(-x, X.u2.values), (g.M,)) * prof_minus
+    prof_plus = np.sqrt(np.sum(c.kernel.zeta((p + x)[:, None], ys) ** 2, axis=1) * ambient.dy)
+    prof_minus = np.sqrt(np.sum(c.kernel.zeta((p - x)[:, None], ys) ** 2, axis=1) * ambient.dy)
+    s1 = np.broadcast_to(c.sigma_plus(x, X[: g.M]), (g.M,)) * prof_plus
+    s2 = np.broadcast_to(c.sigma_minus(-x, X[g.M : 2 * g.M]), (g.M,)) * prof_minus
     return math.sqrt(g.h * (float(np.dot(s1, s1)) + float(np.dot(s2, s2))))
 
 
@@ -250,16 +249,16 @@ def check_equilip(rng, model, op, grid, samples, family):
     for _ in range(samples):
         X = smooth_state(rng, grid, decay=2.0)
         Y = smooth_state(rng, grid, decay=2.0)
-        sx, sy = state_norm(X, "H2"), state_norm(Y, "H2")
+        sx, sy = state_norm(grid, X, "H2"), state_norm(grid, Y, "H2")
         if sx > r:
             X = (r / sx * 0.9) * X
         if sy > r:
             Y = (r / sy * 0.9) * Y
-        dist = state_norm(X - Y, "H2")
+        dist = state_norm(grid, X - Y, "H2")
         if dist == 0:
             continue
         lip = 2.0 * ka * model.rho_lipschitz(2.0 * ka * r) * (1.0 + 10.0 * grid.h)
-        UX, UY = X.padded(), Y.padded()
+        UX, UY = padded(grid, X), padded(grid, Y)
         for n in ns:
             w = interface_weights(grid, n)
             gap = abs(interface_speed(model, UX, w) - interface_speed(model, UY, w))
@@ -273,19 +272,14 @@ def check_window_bound(rng, grid, samples, family):
         return LemmaResult("window_arg_bound", FAIL, math.inf, 0.0, "no resolvable n")
     worst = 0.0
     for _ in range(samples):
-        f = smooth_gridfunction(rng, grid, decay=2.0)
-        h2 = norm(f, "H2")
+        F = _padded_phase(rng, grid, 2.0)
+        h2 = _norm(F, grid, "H2")
         if h2 == 0:
             continue
         for n in ns:
-            worst = max(worst, abs(window_mean(f, n)) / (2.0 * h2 * (1.0 + 10.0 * grid.h)))
+            window_mean = float(interface_weights(grid, n) @ F)
+            worst = max(worst, abs(window_mean) / (2.0 * h2 * (1.0 + 10.0 * grid.h)))
     return _result("window_arg_bound", worst, 1.0)
-
-
-def _sup_gap(X: State, Y: State) -> float:
-    """max |X - Y| over the entries of u1, u2 and p; 0.0 exactly when the states are equal."""
-    D = X - Y
-    return max(float(np.max(np.abs(D.padded()))), abs(D.p))
 
 
 def check_truncation_support(rng, model, op, ambient, samples, family):
@@ -299,22 +293,22 @@ def check_truncation_support(rng, model, op, ambient, samples, family):
     worst = 0.0
     for i in range(min(samples, 40)):
         X = smooth_state(rng, grid, decay=2.0)
-        s = state_norm(X, "H2")
+        s = state_norm(grid, X, "H2")
         inc = stream.increment(i, dt, ambient)
         plain = SolveConfig(dt=dt, T=dt, n=ns[i % len(ns)])
         cut = SolveConfig(dt=dt, T=dt, n=plain.n, truncation=spec)
         outside = (spec.r + 1.0) / s * 1.5 if s > 0 else None
         if outside:
             # scale the phases only so the boundary stays inside the window
-            Xo = State(outside * X.u1, outside * X.u2, 0.9 * math.tanh(X.p))
-            if state_norm(Xo, "H2") ** 2 >= (spec.r + 1.0) ** 2:
+            Xo = np.append(outside * X[:-1], 0.9 * math.tanh(X[-1]))
+            if state_norm(grid, Xo, "H2") ** 2 >= (spec.r + 1.0) ** 2:
                 Y = step(op, model, cut, Xo, inc, ambient)
-                worst = max(worst, _sup_gap(Y, semigroup(op, dt, Xo)))
+                worst = max(worst, np.max(np.abs(Y - semigroup(op, dt, Xo))))
         inside = spec.r / s * 0.5 if s > 0 else None
         if inside:
             Xi = inside * X
             Y = step(op, model, cut, Xi, inc, ambient)
-            worst = max(worst, _sup_gap(Y, step(op, model, plain, Xi, inc, ambient)))
+            worst = max(worst, np.max(np.abs(Y - step(op, model, plain, Xi, inc, ambient))))
     return _result("truncation_support", worst, 0.0)
 
 
@@ -336,14 +330,14 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
         for _ in range(max(samples // 4, 20)):
             for radius in (1.0, 5.0, 25.0):
                 X = smooth_state(local, grid, decay=2.0)
-                s = state_norm(X, "H2")
+                s = state_norm(grid, X, "H2")
                 if s > 0:
                     X = (radius / s) * X
-                U = X.padded()
-                rows, dp = drift_rows(model, U, X.p, transport_direction(U, h), w, grid)
+                U = padded(grid, X)
+                rows, dp = drift_rows(model, U, float(X[-1]), transport_direction(U, h), w, grid)
                 drift_h1 = math.sqrt(sq_norm(np.pad(rows, ((0, 0), (1, 1))), h, "H1") + dp * dp)
-                val = drift_h1 + _diffusion_hs_scale(model, X, ambient)
-                worst = max(worst, val / (1.0 + state_norm(X, "H2")))
+                val = drift_h1 + _diffusion_hs_scale(model, grid, X, ambient)
+                worst = max(worst, val / (1.0 + state_norm(grid, X, "H2")))
         per_n[n] = worst
     vals = list(per_n.values())
     spread = max(vals) / max(min(vals), 1e-300)
@@ -353,7 +347,7 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
 def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
     ns = [n for n in gap_family if 1.0 / n >= 10.0 * grid.h]
     if not ns:
-        return LemmaResult("psi_gap_rate", FAIL, math.inf, 0.0, "no n with 1/n >= 10h")
+        return LemmaResult("psi_gap_bound", FAIL, math.inf, 0.0, "no n with 1/n >= 10h")
     worst = 0.0
 
     def medians(draw):
@@ -363,7 +357,7 @@ def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
         for _ in range(samples):
             X = draw()
             for n in ns:
-                gap, bound = psi_gap_bound(model, X, n)
+                gap, bound = psi_gap_bound(model, grid, X, n)
                 worst = max(worst, gap / max(bound, 1e-300))
                 per_n[n].append(gap * math.sqrt(n))
         return {n: float(np.median(v)) for n, v in per_n.items()}
@@ -421,7 +415,9 @@ def run_suite(
     guard(lambda: check_truncation_support(rng, model, op, ambient, samples, family), "truncation_support")
     guard(lambda: check_linear_growth(rng, model, grid, ambient, samples, family), "linear_growth")
 
-    gap_grid = grid if 1.0 / 64 >= 10.0 * grid.h else Grid(grid.L, 1023)
-    gap_op_grid = gap_grid
-    guard(lambda: check_psi_gap(rng, model, gap_op_grid, min(samples, 200)), "psi_gap_bound")
+    # the gap rate needs 1/n >= 10h up to n = 64: refine to M = 2^k - 1 where the grid is coarser
+    gap_grid, k = grid, 10
+    while 1.0 / 64 < 10.0 * gap_grid.h:
+        gap_grid, k = Grid(grid.L, 2**k - 1), k + 1
+    guard(lambda: check_psi_gap(rng, model, gap_grid, min(samples, 200)), "psi_gap_bound")
     return results

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from ..coefficients import INF
-from ..grids import Grid, GridFunction, State, diff2, interface_weights, sq_norm
+from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
 from ..operators import SpectralOperator
 from ..solver import Trajectory, solve
@@ -119,17 +119,9 @@ def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
     return solve(cfg.operator, cfg.model, scfg, cfg.initial, stream, cfg.ambient)
 
 
-def _padded_phases(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """(records, 2, M+2) padded phase rows of dense state rows u1 | u2 | p."""
-    M = grid.M
-    out = np.zeros((len(values), 2, M + 2))
-    out[:, :, 1:-1] = values[:, : 2 * M].reshape(-1, 2, M)
-    return out
-
-
 def _write_trajectory_csv(path: str, traj: Trajectory):
     h = traj.grid.h
-    V = _padded_phases(traj.grid, traj.values)
+    V = padded(traj.grid, traj.values)
     p = traj.values[:, -1]
     norms = [np.sqrt(sq_norm(V, h, order, axis=(1, 2)) + p * p) for order in ("L2", "H1", "H2")]
     traces = V @ interface_weights(traj.grid, INF)
@@ -140,10 +132,10 @@ def _write_trajectory_csv(path: str, traj: Trajectory):
     )
 
 
-def _write_profile_csv(path: str, X: State):
-    g = X.grid
-    pts = np.concatenate((X.p - g.nodes[::-1], [X.p], X.p + g.nodes))
-    prof = F_transform(X, pts)
+def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
+    p = float(x[-1])
+    pts = np.concatenate((p - grid.nodes[::-1], [p], p + grid.nodes))
+    prof = F_transform(grid, x, pts)
     _write_table(path, ["x", "v"], np.column_stack((prof.x, prof.values)))
 
 
@@ -163,8 +155,8 @@ def _simulate_cell(raw: dict, n, seed: int) -> dict:
     base = os.path.join(cfg.out_dir, f"traj_n{label}_seed{seed}")
     _write_trajectory_csv(base + ".csv", traj)
     if cfg.profiles:
-        for k, X in enumerate(traj.states):
-            _write_profile_csv(base + f"_profile{k}.csv", X)
+        for k, x in enumerate(traj.values):
+            _write_profile_csv(base + f"_profile{k}.csv", traj.grid, x)
     if cfg.dump_noise:
         _dump_noise(base + "_noise.bin", cfg, seed)
     meta = {
@@ -173,7 +165,7 @@ def _simulate_cell(raw: dict, n, seed: int) -> dict:
         "exited": traj.exited,
         "exit": None if traj.exit is None else asdict(traj.exit),
         "final_time": float(traj.times[-1]),
-        "final_p": float(traj.final_state.p),
+        "final_p": float(traj.values[-1, -1]),
     }
     _write_json(base + "_exit.json", meta)
     return meta
@@ -253,7 +245,7 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
         return 0.0, 0.0, 0.0
     h = ref.grid.h
     diff = ref.values[:kmax] - traj.values[:kmax]
-    V = _padded_phases(ref.grid, diff)
+    V = padded(ref.grid, diff)
     g2 = diff2(V, h)
     d_h1 = math.sqrt(np.max(sq_norm(V, h, "H1", axis=(1, 2))))
     d_d2 = math.sqrt(np.max(h * np.sum(g2 * g2, axis=(1, 2))))
@@ -302,13 +294,13 @@ def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:
 # Classical one-phase front oracle
 
 
-def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> State:
-    """Similarity profile at time t0, pulled back to the boundary frame."""
+def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> np.ndarray:
+    """State row of the similarity profile at time t0, pulled back to the boundary frame."""
     p0 = 2.0 * lam * math.sqrt(eta * t0)
     s = grid.nodes / (2.0 * math.sqrt(eta * t0))
     # erfc(lam + s) / erfc(lam), written with erfcx so that neither factor underflows
     ratio = erfcx(lam + s) / erfcx(lam) * np.exp(-s * (2.0 * lam + s))
-    return State(GridFunction(grid, v_inf * (1.0 - ratio)), GridFunction.zero(grid), p0)
+    return np.concatenate((v_inf * (1.0 - ratio), np.zeros(grid.M), [p0]))
 
 
 def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
@@ -320,7 +312,7 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
     """
     rho0, v_inf, eta, t0 = stefan_params(cfg.raw, cfg.model.eta_plus)
     lam = stefan_front_coefficient(rho0, v_inf, eta)
-    X0 = _stefan_initial_state(cfg.grid, lam, v_inf, eta, t0)
+    x0 = _stefan_initial_state(cfg.grid, lam, v_inf, eta, t0)
 
     model = build_coefficients(
         {
@@ -333,7 +325,7 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
     )
     op = SpectralOperator(cfg.grid, eta, eta)
     scfg = replace(cfg.solve, n=INF, truncation=None)
-    traj = solve(op, model, scfg, X0, NoiseStream(seed=0), cfg.ambient)
+    traj = solve(op, model, scfg, x0, NoiseStream(seed=0), cfg.ambient)
 
     times = traj.times
     path = traj.boundary_path

@@ -1,22 +1,22 @@
-"""Random grid functions and states for property suites and tests."""
+"""Random phases and state rows for property suites and tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..grids import Grid, GridFunction, State
+from ..grids import Grid
 from ..operators import _dirichlet_eigenvalues, _from_modes, _to_modes
 
 
-def smooth_gridfunction(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> GridFunction:
-    """Random sine series with polynomially decaying coefficients (spatially smooth)."""
+def smooth_phase(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> np.ndarray:
+    """Random sine series with polynomially decaying coefficients (spatially smooth), shape (M,)."""
     k = np.arange(1, grid.M + 1)
     coeffs = amplitude * rng.standard_normal(grid.M) * k ** (-decay)
-    return GridFunction(grid, _from_modes(coeffs, grid.M))
+    return _from_modes(coeffs, grid.M)
 
 
-def rough_h2_gridfunction(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> GridFunction:
-    """Random function whose second difference is white noise: generic H2 roughness.
+def rough_h2_phase(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> np.ndarray:
+    """Random function whose second difference is white noise: generic H2 roughness, shape (M,).
 
     Draw white noise w on the grid and solve d2 f = w in the sine basis; f is
     in the discrete H2 class but has no extra smoothness, which is the regime
@@ -24,20 +24,18 @@ def rough_h2_gridfunction(rng: np.random.Generator, grid: Grid, sigma: float = 1
     """
     w = sigma * rng.standard_normal(grid.M)
     f_hat = -_to_modes(w) / _dirichlet_eigenvalues(grid)
-    return GridFunction(grid, _from_modes(f_hat, grid.M))
+    return _from_modes(f_hat, grid.M)
 
 
-def smooth_state(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> State:
-    return State(
-        smooth_gridfunction(rng, grid, amplitude, decay),
-        smooth_gridfunction(rng, grid, amplitude, decay),
-        float(amplitude * rng.standard_normal()),
-    )
+def smooth_state(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> np.ndarray:
+    """State row of two smooth phases and a normal boundary, drawn in the order u1, u2, p."""
+    u1 = smooth_phase(rng, grid, amplitude, decay)
+    u2 = smooth_phase(rng, grid, amplitude, decay)
+    return np.concatenate((u1, u2, [amplitude * rng.standard_normal()]))
 
 
-def rough_state(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> State:
-    return State(
-        rough_h2_gridfunction(rng, grid, sigma),
-        rough_h2_gridfunction(rng, grid, sigma),
-        float(sigma * rng.standard_normal()),
-    )
+def rough_state(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> np.ndarray:
+    """State row of two H2-rough phases and a normal boundary, drawn in the order u1, u2, p."""
+    u1 = rough_h2_phase(rng, grid, sigma)
+    u2 = rough_h2_phase(rng, grid, sigma)
+    return np.concatenate((u1, u2, [sigma * rng.standard_normal()]))

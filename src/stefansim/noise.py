@@ -103,14 +103,11 @@ def _gaussian(scale: float):
     return zeta
 
 
-def gaussian_kernel(scale: float, ambient: Optional[AmbientGrid] = None):
-    """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2))."""
+def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
+    """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), built on ``ambient``."""
     if scale <= 0:
         raise ValueError("kernel scale must be positive")
-    zeta = _gaussian(scale)
-    if ambient is None:
-        return zeta
-    return replace(Kernel.build(zeta, ambient), scale=scale)
+    return replace(Kernel.build(_gaussian(scale), ambient), scale=scale)
 
 
 @dataclass(frozen=True)

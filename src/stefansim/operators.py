@@ -17,8 +17,7 @@ import numpy as np
 # transform.  Both return the same bits.
 from scipy.fftpack import dst
 
-from .errors import GridMismatch
-from .grids import Grid, GridFunction, State, d2, norm, state_norm
+from .grids import Grid, diff2, padded, sq_norm, state_norm
 
 __all__ = [
     "SpectralOperator",
@@ -64,14 +63,14 @@ def _from_modes(coeffs: np.ndarray, M: int) -> np.ndarray:
     return dst(coeffs, type=1) / (2.0 * (M + 1))
 
 
-def apply_A(op: SpectralOperator, X: State) -> State:
-    """A X = (eta+ d2 u1 - u1, eta- d2 u2 - u2, -p)."""
-    if X.grid != op.grid:
-        raise GridMismatch("state grid does not match operator grid")
-    g = op.grid
-    a1 = op.eta_plus * d2(X.u1).values - X.u1.values
-    a2 = op.eta_minus * d2(X.u2).values - X.u2.values
-    return State(GridFunction(g, a1), GridFunction(g, a2), -X.p)
+def apply_A(op: SpectralOperator, x: np.ndarray) -> np.ndarray:
+    """A x = (eta+ d2 u1 - u1, eta- d2 u2 - u2, -p) of the state row x = u1 | u2 | p."""
+    U = padded(op.grid, x)
+    D = diff2(U, op.grid.h)
+    D[0] *= op.eta_plus
+    D[1] *= op.eta_minus
+    D -= U[:, 1:-1]
+    return np.append(D, -x[-1])
 
 
 def semigroup_factors(op: SpectralOperator, t: float):
@@ -93,17 +92,13 @@ def apply_factors(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dst(F * dst(Y, type=1), type=1)
 
 
-def semigroup(op: SpectralOperator, t: float, X: State) -> State:
-    """Apply e^{tA} exactly in the discrete sine basis; t = 0 is the identity."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0.0:
-        return X
-    if X.grid != op.grid:
-        raise GridMismatch("state grid does not match operator grid")
+def semigroup(op: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
+    """Apply e^{tA} to the state row x exactly in the discrete sine basis; t = 0 is the identity."""
+    U = padded(op.grid, x)
     F, fp = semigroup_factors(op, t)
-    v = apply_factors(F, np.stack((X.u1.values, X.u2.values)))
-    return State(GridFunction(op.grid, v[0]), GridFunction(op.grid, v[1]), fp * X.p)
+    if t == 0.0:
+        return np.array(x, dtype=float)
+    return np.append(apply_factors(F, U[:, 1:-1]), fp * x[-1])
 
 
 def K_A(op: SpectralOperator) -> float:
@@ -115,11 +110,10 @@ def K_A(op: SpectralOperator) -> float:
     """
     g = op.grid
     best = 1.0  # scalar direction (0, 0, 1): ratio exactly 1
-    zero = GridFunction.zero(g)
     for k in range(1, g.M + 1):
-        phi = GridFunction.from_callable(g, lambda x, k=k: np.sin(k * np.pi * x / g.L))
-        h2 = norm(phi, "H2")
-        l2 = norm(phi, "L2")
+        phi = np.pad(np.sin(k * np.pi * g.nodes / g.L), 1)
+        h2 = math.sqrt(sq_norm(phi, g.h, "H2"))
+        l2 = math.sqrt(sq_norm(phi, g.h, "L2"))
         ratio_plus = h2 / (abs(op.eigenvalues_plus[k - 1]) * l2)
         ratio_minus = h2 / (abs(op.eigenvalues_minus[k - 1]) * l2)
         best = max(best, ratio_plus, ratio_minus)
@@ -129,8 +123,8 @@ def K_A(op: SpectralOperator) -> float:
 _NORM_OF_ALPHA = {0.0: "L2", 0.5: "H1", 1.0: "H2"}
 
 
-def smoothing_check(op: SpectralOperator, t: float, X: State, alpha: float, beta: float):
-    """Diagnostic pair (|S_t X|_alpha, t^(beta-alpha) |X|_beta) for alpha >= beta.
+def smoothing_check(op: SpectralOperator, t: float, x: np.ndarray, alpha: float, beta: float):
+    """Diagnostic pair (|S_t x|_alpha, t^(beta-alpha) |x|_beta) for alpha >= beta and the state row x.
 
     The levels 0, 1/2 and 1 are realized as the discrete L2/H1/H2 norms.
     """
@@ -140,6 +134,6 @@ def smoothing_check(op: SpectralOperator, t: float, X: State, alpha: float, beta
         raise ValueError(f"levels must be in {sorted(_NORM_OF_ALPHA)}")
     if t <= 0:
         raise ValueError("need t > 0")
-    lhs = state_norm(semigroup(op, t, X), _NORM_OF_ALPHA[alpha])
-    rhs = t ** (beta - alpha) * state_norm(X, _NORM_OF_ALPHA[beta])
+    lhs = state_norm(op.grid, semigroup(op, t, x), _NORM_OF_ALPHA[alpha])
+    rhs = t ** (beta - alpha) * state_norm(op.grid, x, _NORM_OF_ALPHA[beta])
     return lhs, rhs

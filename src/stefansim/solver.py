@@ -6,28 +6,27 @@ unconditionally stable in the stiff linear part, first order in dt in the
 drift, Ito (left endpoint) in the noise.  A step whose diffusion coefficients
 vanish at the current state draws no noise increment.
 
-The model exists only on padded arrays: ``_advance`` steps one contiguous
-buffer of shape (2, M+2) per path, rows u1 and u2 with zero end columns for
-the Dirichlet nodes, plus the scalar p, through the array functions of
-``coefficients``, and applies the cutoff of a truncated run there.  ``solve``
-loops it and records dense rows u1 | u2 | p; ``step`` runs it once from a
-``State`` and returns one, which is how the lemma battery checks the cutoff
-that runs.
+A state is the row u1 | u2 | p (see ``grids``).  ``_advance`` steps its
+padded phases, one contiguous buffer of shape (2, M+2) per path, plus the
+scalar p, through the array functions of ``coefficients``, and applies the
+cutoff of a truncated run there.  ``solve`` loops it from an initial row and
+records rows; ``step`` runs it once from a row and returns the next, which is
+how the lemma battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import List, Optional
+from functools import partial
+from typing import Optional
 
 import numpy as np
 
 from . import coefficients
 from .coefficients import CoefficientSet, TruncationSpec, diffusion_rows, drift_rows, transport_direction
-from .errors import BoundaryLeftWindow, GridMismatch, NonFiniteState
-from .grids import Grid, State, interface_weights, padded_state_norm
+from .errors import BoundaryLeftWindow, NonFiniteState
+from .grids import Grid, interface_weights, padded, padded_state_norm
 from .noise import AmbientGrid, NoiseIncrement, NoiseStream
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
@@ -86,14 +85,6 @@ class Trajectory:
     def exited(self) -> bool:
         return self.exit is not None
 
-    @cached_property
-    def states(self) -> List[State]:
-        return [State.from_flat(self.grid, v) for v in self.values]
-
-    @property
-    def final_state(self) -> State:
-        return State.from_flat(self.grid, self.values[-1])
-
     @property
     def boundary_path(self) -> np.ndarray:
         return self.values[:, -1].copy()
@@ -136,33 +127,31 @@ def step(
     op: SpectralOperator,
     c: CoefficientSet,
     cfg: SolveConfig,
-    X: State,
+    x: np.ndarray,
     inc: NoiseIncrement,
     ambient: AmbientGrid,
-) -> State:
-    """One exponential-Euler step of ``solve``; deterministic given (X, inc)."""
-    if X.grid != op.grid:
-        raise GridMismatch("state grid does not match operator grid")
+) -> np.ndarray:
+    """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, inc)."""
     h = op.grid.h
-    U = X.padded()
+    U, p = padded(op.grid, x), float(x[-1])
     g = transport_direction(U, h)
-    nrm = padded_state_norm(U, X.p, h, "H2", g)
+    nrm = padded_state_norm(U, p, h, "H2", g)
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    U, p = _advance(op, c, cfg, U, X.p, g, nrm, lambda: inc, inc.step_index, ambient, factors, w)
-    return State.from_flat(op.grid, np.append(U[:, 1:-1], p))
+    U, p = _advance(op, c, cfg, U, p, g, nrm, lambda: inc, inc.step_index, ambient, factors, w)
+    return np.append(U[:, 1:-1], p)
 
 
 def solve(
     op: SpectralOperator,
     c: CoefficientSet,
     cfg: SolveConfig,
-    X0: State,
+    x0: np.ndarray,
     stream: NoiseStream,
     ambient: AmbientGrid,
 ) -> Trajectory:
-    """Iterate steps until the horizon, an explosion, a non-finite value or
-    the boundary leaving the noise window.
+    """Iterate steps from the state row x0 until the horizon, an explosion, a
+    non-finite value or the boundary leaving the noise window.
 
     All recorded values are finite: the step that produces a non-finite state
     is flagged as the exit and not recorded.  A state whose boundary has left
@@ -172,12 +161,10 @@ def solve(
     so runs only stop early at the explosion radius if that radius was set
     inside the cutoff ball.
     """
-    if X0.grid != op.grid:
-        raise GridMismatch("state grid does not match operator grid")
     h = op.grid.h
+    U, p = padded(op.grid, x0), float(x0[-1])
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    U, p = X0.padded(), X0.p
     g = transport_direction(U, h)
     nrm = padded_state_norm(U, p, h, "H2", g)
     times = [0.0]

@@ -13,23 +13,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridMismatch, InterfaceNotZero
-from .grids import Grid, GridFunction, State
+from .errors import InterfaceNotZero
+from .grids import Grid, padded
 
 __all__ = ["MovingProfile", "iota", "F_transform", "F_inverse"]
 
 
-def iota(u1: GridFunction, u2: GridFunction) -> Callable:
-    """Glue (u1, u2) into a function on the real line: u1 on (0, inf), u2(-.) on (-inf, 0).
+def iota(grid: Grid, x: np.ndarray) -> Callable:
+    """Glue the phases of the state row x into a function on the real line: u1 on (0, inf), u2(-.) on (-inf, 0).
 
     Evaluation is linear interpolation between grid nodes, exactly zero at 0
     and outside [-L, L].
     """
-    if u1.grid != u2.grid:
-        raise GridMismatch("iota needs a shared grid")
-    g = u1.grid
-    xs = np.concatenate(([-g.L], -g.nodes[::-1], [0.0], g.nodes, [g.L]))
-    vals = np.concatenate(([0.0], u2.values[::-1], [0.0], u1.values, [0.0]))
+    U = padded(grid, x)
+    xs = np.concatenate(([-grid.L], -grid.nodes[::-1], [0.0], grid.nodes, [grid.L]))
+    # the padded u2 row reversed, then u1 without its zero at x = 0
+    vals = np.concatenate((U[1, ::-1], U[0, 1:]))
 
     def evaluate(x):
         return np.interp(x, xs, vals, left=0.0, right=0.0)
@@ -50,19 +49,20 @@ class MovingProfile:
         return self._fn(x)
 
 
-def F_transform(X: State, eval_points: np.ndarray) -> MovingProfile:
-    """Moving-frame profile v(x) = glued(x - p); exactly zero at the interface."""
-    glued = iota(X.u1, X.u2)
+def F_transform(grid: Grid, x: np.ndarray, eval_points: np.ndarray) -> MovingProfile:
+    """Moving-frame profile v(y) = glued(y - p) of the state row x; exactly zero at the interface."""
+    glued = iota(grid, x)
+    p = float(x[-1])
 
-    def v(x):
-        return glued(np.asarray(x, dtype=float) - X.p)
+    def v(y):
+        return glued(np.asarray(y, dtype=float) - p)
 
     pts = np.asarray(eval_points, dtype=float)
-    return MovingProfile(x=pts, values=v(pts), p_star=X.p, _fn=v)
+    return MovingProfile(x=pts, values=v(pts), p_star=p, _fn=v)
 
 
 def F_inverse(eval_points: np.ndarray, v_values: np.ndarray, p_star: float, grid: Grid):
-    """Recover the half-line phases by sampling the profile at p_star +/- x_i.
+    """Recover the state row u1 | u2 | p_star by sampling the profile at p_star +/- x_i.
 
     The profile must vanish at the interface (within 1e-9); values between
     evaluation points are linearly interpolated.
@@ -74,4 +74,4 @@ def F_inverse(eval_points: np.ndarray, v_values: np.ndarray, p_star: float, grid
         raise InterfaceNotZero(f"profile value {at_interface} at the interface")
     u1 = np.interp(p_star + grid.nodes, pts, vals, left=0.0, right=0.0)
     u2 = np.interp(p_star - grid.nodes, pts, vals, left=0.0, right=0.0)
-    return GridFunction(grid, u1), GridFunction(grid, u2)
+    return np.concatenate((u1, u2, [p_star]))

@@ -16,10 +16,8 @@ from stefansim import (
     AmbientGrid,
     CoefficientSet,
     Grid,
-    GridFunction,
     NoiseStream,
     SolveConfig,
-    State,
     SpectralOperator,
     TruncationSpec,
     exit_times,
@@ -69,6 +67,11 @@ def _model(ambient, mu=None, sigma=None, rho=None, flags=(False, False, False)):
     )
 
 
+def _sine_state(grid, amplitude):
+    """The state row (amplitude sin(pi x), 0, 0)."""
+    return np.concatenate((amplitude * np.sin(np.pi * grid.nodes), np.zeros(grid.M + 1)))
+
+
 def test_acceptance_1_heat_decay():
     t0 = time.time()
     grid = Grid(1.0, 127)
@@ -76,14 +79,10 @@ def test_acceptance_1_heat_decay():
     model = _model(ambient)
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-4, T=0.1, n=INF, record_every=1000)
-    X0 = State(
-        GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x)),
-        GridFunction.zero(grid),
-        0.0,
-    )
+    X0 = _sine_state(grid, 1.0)
     traj = solve(op, model, cfg, X0, NoiseStream(seed=0), ambient)
-    target = math.exp(-math.pi**2 * 0.1) * X0.u1.values
-    rel = np.max(np.abs(traj.final_state.u1.values - target)) / np.max(np.abs(target))
+    target = math.exp(-math.pi**2 * 0.1) * X0[: grid.M]
+    rel = np.max(np.abs(traj.values[-1, : grid.M] - target)) / np.max(np.abs(target))
     elapsed = time.time() - t0
     ok = rel < 0.01 and elapsed < 5.0
     assert _report(1, ok, f"modal decay rel err {rel:.2e} (<1%), {elapsed:.1f}s (<5s)")
@@ -125,7 +124,7 @@ def test_acceptance_3_interface_gap_rate():
     for _ in range(200):
         X = rough_state(rng, grid, sigma=1.0)
         for n in ns:
-            gap, bound = psi_gap_bound(model, X, n)
+            gap, bound = psi_gap_bound(model, grid, X, n)
             if gap > bound:
                 all_within = False
             rescaled[n].append(gap * math.sqrt(n))
@@ -185,11 +184,7 @@ def test_acceptance_5_truncation_consistency():
     )
     op = SpectralOperator(grid, 1.0, 1.0)
     r = 1.1
-    X0 = State(
-        GridFunction.from_callable(grid, lambda x: 0.12 * np.sin(np.pi * x)),
-        GridFunction.zero(grid),
-        0.0,
-    )
+    X0 = _sine_state(grid, 0.12)
     plain = SolveConfig(dt=2e-3, T=0.5, n=INF, record_every=1)
     trunc = SolveConfig(dt=2e-3, T=0.5, n=INF, truncation=TruncationSpec(r), record_every=1)
     all_equal = True
@@ -200,14 +195,8 @@ def test_acceptance_5_truncation_consistency():
         over = np.nonzero(a.norm_h2**2 > r * r)[0]
         k_star = over[0] if over.size else len(a.norm_h2) - 1
         crossings += int(over.size > 0)
-        for k in range(k_star + 1):
-            Xa, Xb = a.states[k], b.states[k]
-            if not (
-                np.array_equal(Xa.u1.values, Xb.u1.values)
-                and np.array_equal(Xa.u2.values, Xb.u2.values)
-                and Xa.p == Xb.p
-            ):
-                all_equal = False
+        if not np.array_equal(a.values[: k_star + 1], b.values[: k_star + 1]):
+            all_equal = False
     ok = all_equal
     assert _report(
         5, ok, f"bitwise equal through first crossing on 20/20 seeds ({crossings} seeds crossed r={r})"
@@ -218,11 +207,7 @@ def _global_regime_sups(seeds, grid, ambient, model, op):
     cfg = SolveConfig(dt=2e-3, T=1.0, n=INF, explosion_radius=1e6, record_every=500)
     sups = []
     exploded = 0
-    X0 = State(
-        GridFunction.from_callable(grid, lambda x: 0.5 * np.sin(np.pi * x)),
-        GridFunction.zero(grid),
-        0.0,
-    )
+    X0 = _sine_state(grid, 0.5)
     for seed in seeds:
         traj = solve(op, model, cfg, X0, NoiseStream(seed=seed), ambient)
         exploded += int(traj.exited)
@@ -287,11 +272,7 @@ def test_acceptance_8_exit_time_sandwich():
         flags=(True, True, True),
     )
     op = SpectralOperator(grid, 1.0, 1.0)
-    X0 = State(
-        GridFunction.from_callable(grid, lambda x: 0.5 * np.sin(np.pi * x)),
-        GridFunction.zero(grid),
-        0.0,
-    )
+    X0 = _sine_state(grid, 0.5)
     n_big = 32
     cfg_inf = SolveConfig(dt=2e-3, T=0.5, n=INF, record_every=250)
     cfg_n = SolveConfig(dt=2e-3, T=0.5, n=n_big, record_every=250)

@@ -7,11 +7,9 @@ from stefansim import (
     AmbientGrid,
     CoefficientSet,
     Grid,
-    GridFunction,
     NoiseStream,
     SolveConfig,
     SpectralOperator,
-    State,
     TruncationSpec,
     gaussian_kernel,
     h_r,
@@ -39,7 +37,7 @@ from stefansim.coefficients import (
 )
 from stefansim.errors import WindowUnresolved
 from stefansim.experiments.sampling import rough_state
-from stefansim.grids import d1, interface_weights, sq_norm
+from stefansim.grids import diff1, interface_weights, padded, sq_norm
 
 
 @pytest.fixture
@@ -67,15 +65,27 @@ def make_model(ambient, mu=None, sigma=None, rho=None):
     )
 
 
-def psi(model, X, n):
-    return interface_speed(model, X.padded(), interface_weights(X.grid, n))
+def row(u1, u2, p):
+    return np.concatenate((u1, u2, [p]))
 
 
-def drift(model, X, n):
-    """The drift B_n at X as a State, from the array function the solver steps."""
-    U = X.padded()
-    rows, dp = drift_rows(model, U, X.p, transport_direction(U, X.grid.h), interface_weights(X.grid, n), X.grid)
-    return State(GridFunction(X.grid, rows[0]), GridFunction(X.grid, rows[1]), dp)
+def zero(grid):
+    return np.zeros(2 * grid.M + 1)
+
+
+def d1(grid, f):
+    return diff1(np.pad(f, 1), grid.h)
+
+
+def psi(model, grid, X, n):
+    return interface_speed(model, padded(grid, X), interface_weights(grid, n))
+
+
+def drift(model, grid, X, n):
+    """The drift B_n at the state row X as a row, from the array function the solver steps."""
+    U = padded(grid, X)
+    rows, dp = drift_rows(model, U, X[-1], transport_direction(U, grid.h), interface_weights(grid, n), grid)
+    return np.append(rows, dp)
 
 
 def test_boundary_condition_enforced(ambient):
@@ -96,91 +106,88 @@ def test_boundary_condition_enforced(ambient):
 
 
 def test_N_mu_identity_and_slope(grid, ambient):
-    f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
-    g = GridFunction.from_callable(grid, lambda x: x * (1 - x))
-    U = State(f, g, 0.3).padded()
+    f = np.sin(np.pi * grid.nodes)
+    g = grid.nodes * (1 - grid.nodes)
+    U = padded(grid, row(f, g, 0.3))
     slope = transport_direction(U, grid.h)
 
     out = reaction(make_model(ambient, mu=mu_linear(c_v=1.0)), U, slope, grid)
-    assert np.array_equal(out[0], f.values)
-    assert np.array_equal(out[1], g.values)
+    assert np.array_equal(out[0], f)
+    assert np.array_equal(out[1], g)
 
     out = reaction(make_model(ambient, mu=mu_linear(c_vp=1.0)), U, slope, grid)
-    assert np.allclose(out[0], d1(f).values)
+    assert np.allclose(out[0], d1(grid, f))
     # reflected slot carries the reflection sign on its slope argument
-    assert np.allclose(out[1], -d1(g).values)
+    assert np.allclose(out[1], -d1(grid, g))
 
 
 def test_psi_linear_data(grid, ambient):
     model = make_model(ambient, rho=rho_linear(1.0))
-    f = GridFunction.from_callable(grid, lambda x: x)
-    X = State(f, GridFunction.zero(grid), 0.0)
+    X = row(grid.nodes, np.zeros(grid.M), 0.0)
     for n in (2, 4, 8):
-        assert psi(model, X, n) == pytest.approx(1.0, abs=1e-12)
-    assert psi(model, X, INF) == pytest.approx(1.0, abs=1e-12)
+        assert psi(model, grid, X, n) == pytest.approx(1.0, abs=1e-12)
+    assert psi(model, grid, X, INF) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_psi_quadratic_gap(grid, ambient):
     model = make_model(ambient, rho=(lambda a, b: a, lambda r: 1.0))
-    f = GridFunction.from_callable(grid, lambda x: x * x)
-    X = State(f, GridFunction.zero(grid), 0.0)
+    X = row(grid.nodes**2, np.zeros(grid.M), 0.0)
     for n in (2, 4, 8):
-        assert psi(model, X, n) == pytest.approx(2.0 / (3.0 * n), abs=5 * grid.h**2)
-    assert abs(psi(model, X, INF)) < 5 * grid.h**2
+        assert psi(model, grid, X, n) == pytest.approx(2.0 / (3.0 * n), abs=5 * grid.h**2)
+    assert abs(psi(model, grid, X, INF)) < 5 * grid.h**2
 
 
 def test_psi_window_unresolved(grid, ambient):
     model = make_model(ambient, rho=rho_linear(1.0))
     with pytest.raises(WindowUnresolved):
-        psi(model, State.zero(grid), 100)
+        psi(model, grid, zero(grid), 100)
 
 
 def test_drift_transport_structure(grid, ambient):
     model = make_model(ambient, rho=(lambda a, b: 1.0, lambda r: 0.0))
-    f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
-    X = State(f, f, 0.2)
-    out = drift(model, X, INF)
-    assert np.allclose(out.u1.values, d1(f).values + f.values)
-    assert np.allclose(out.u2.values, -d1(f).values + f.values)
-    assert out.p == pytest.approx(1.0 + 0.2)
+    f = np.sin(np.pi * grid.nodes)
+    out = drift(model, grid, row(f, f, 0.2), INF)
+    M = grid.M
+    assert np.allclose(out[:M], d1(grid, f) + f)
+    assert np.allclose(out[M : 2 * M], -d1(grid, f) + f)
+    assert out[-1] == pytest.approx(1.0 + 0.2)
 
 
 def test_drift_cutoff_support(grid, ambient):
     model = make_model(ambient, rho=rho_tanh(1.0))
     op = SpectralOperator(grid, 1.0, 1.0)
-    f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
-    X = State(5.0 * f, GridFunction.zero(grid), 0.0)
+    X = row(5.0 * np.sin(np.pi * grid.nodes), np.zeros(grid.M), 0.0)
     spec = TruncationSpec(0.5)
     plain = SolveConfig(dt=1e-3, T=1e-3, n=INF)
     cut = SolveConfig(dt=1e-3, T=1e-3, n=INF, truncation=spec)
     inc = NoiseStream(seed=0).increment(0, 1e-3, ambient)
-    assert state_norm(X, "H2") ** 2 > (spec.r + 1.0) ** 2
+    assert state_norm(grid, X, "H2") ** 2 > (spec.r + 1.0) ** 2
     # outside the ball the truncated step adds no drift: it is the bare semigroup step
     Y = step(op, model, cut, X, inc, ambient)
     S = semigroup(op, 1e-3, X)
-    assert np.array_equal(Y.u1.values, S.u1.values) and np.array_equal(Y.u2.values, S.u2.values) and Y.p == S.p
+    assert np.array_equal(Y, S)
     # inside the ball the truncated step coincides bitwise with the plain one
     Xs = 0.001 * X
     a = step(op, model, cut, Xs, inc, ambient)
     b = step(op, model, plain, Xs, inc, ambient)
-    assert np.array_equal(a.u1.values, b.u1.values) and a.p == b.p
+    assert np.array_equal(a, b)
 
 
 def test_diffusion_zero_sigma(grid, ambient):
     model = make_model(ambient)
     inc = NoiseStream(seed=0).increment(0, 0.01, ambient)
     # zero sigma rows: the product is zero and None stands for it
-    assert diffusion_rows(model, State.zero(grid).padded(), 0.0, lambda: inc, ambient, grid) is None
+    assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, lambda: inc, ambient, grid) is None
 
 
 def test_diffusion_multiplicative_boundary_decay(grid, ambient):
     model = make_model(ambient, sigma=sigma_affine(multiplicative=1.0))
-    f = GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
-    X = State(f, GridFunction.zero(grid), 0.0)
+    f = np.sin(np.pi * grid.nodes)
+    X = row(f, np.zeros(grid.M), 0.0)
     inc = NoiseStream(seed=1).increment(0, 0.01, ambient)
-    out = diffusion_rows(model, X.padded(), X.p, lambda: inc, ambient, grid)
+    out = diffusion_rows(model, padded(grid, X), X[-1], lambda: inc, ambient, grid)
     # first interior node value inherits the O(h) smallness of u1 there
-    assert abs(out[0, 0]) <= abs(f.values[0]) * np.max(np.abs(inc.dW)) * 10.0
+    assert abs(out[0, 0]) <= abs(f[0]) * np.max(np.abs(inc.dW)) * 10.0
     assert np.max(np.abs(out[1])) == 0.0
 
 
@@ -205,9 +212,8 @@ def test_h_r_shape():
 def test_psi_gap_linear_data_zero(ambient):
     grid = Grid(1.0, 1023)
     model = make_model(ambient, rho=rho_linear(0.7))
-    f = GridFunction.from_callable(grid, lambda x: x)
-    X = State(f, GridFunction.zero(grid), 0.0)
-    gap, bound = psi_gap_bound(model, X, 16)
+    X = row(grid.nodes, np.zeros(grid.M), 0.0)
+    gap, bound = psi_gap_bound(model, grid, X, 16)
     assert gap == pytest.approx(0.0, abs=1e-9)
     assert bound >= 0.0
 
@@ -221,10 +227,10 @@ def test_psi_gap_bound_holds(ambient):
     k = np.arange(1, grid.M + 1)
     for _ in range(50):
         coeffs = rng.standard_normal(grid.M) * k**-2.0
-        f = GridFunction(grid, dst(coeffs, type=1) / (2.0 * (grid.M + 1)))
-        X = State(f, GridFunction.zero(grid), float(rng.standard_normal()))
+        f = dst(coeffs, type=1) / (2.0 * (grid.M + 1))
+        X = row(f, np.zeros(grid.M), float(rng.standard_normal()))
         for n in (4, 16, 64):
-            gap, bound = psi_gap_bound(model, X, n)
+            gap, bound = psi_gap_bound(model, grid, X, n)
             assert gap <= bound
 
 
@@ -237,20 +243,20 @@ def test_psi_gap_closed_form_matches_drift_difference(ambient):
     rng = np.random.default_rng(5)
     for _ in range(20):
         X = rough_state(rng, grid, sigma=1.0)
-        U = X.padded()
+        U = padded(grid, X)
         g = transport_direction(U, h)
-        a, ap = drift_rows(model, U, X.p, g, interface_weights(grid, INF), grid)
+        a, ap = drift_rows(model, U, X[-1], g, interface_weights(grid, INF), grid)
         for n in (4, 16, 64):
-            b, bp = drift_rows(model, U, X.p, g, interface_weights(grid, n), grid)
+            b, bp = drift_rows(model, U, X[-1], g, interface_weights(grid, n), grid)
             ref = math.sqrt(sq_norm(np.pad(b - a, ((0, 0), (1, 1))), h, "H1") + (bp - ap) ** 2)
-            gap, _ = psi_gap_bound(model, X, n)
+            gap, _ = psi_gap_bound(model, grid, X, n)
             assert gap == pytest.approx(ref, rel=1e-10)
 
 
 def test_psi_gap_requires_fine_grid(grid, ambient):
     model = make_model(ambient, rho=rho_linear(1.0))
     with pytest.raises(WindowUnresolved):
-        psi_gap_bound(model, State.zero(grid), 64)
+        psi_gap_bound(model, grid, zero(grid), 64)
 
 
 def test_explosive_mu_family(grid, ambient):

@@ -460,6 +460,20 @@ def test_lemma_suite_structured_window_failure(tmp_path):
     res = run_lemma_suite(resolve(raw))
     rows = {r.name: r for r in res}
     assert "psi_gap_bound" in rows
+    # called on the coarse grid itself, the gap check is a failure row of the same name
+    gap = lemma_suite.check_psi_gap(np.random.default_rng(0), resolve(raw).model, resolve(raw).grid, 10)
+    assert (gap.name, gap.status, gap.detail) == ("psi_gap_bound", lemma_suite.FAIL, "no n with 1/n >= 10h")
+
+
+def test_lemma_suite_psi_gap_covers_n64_on_example(tmp_path):
+    # at L = 2 the gap check needs a grid finer than M = 1023 for 1/64 >= 10h
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")
+    raw = dict(load_config(path).raw, mode="lemma-suite", outputs=str(tmp_path))
+    gap = {r.name: r for r in run_lemma_suite(resolve(raw))}["psi_gap_bound"]
+    assert gap.status == lemma_suite.PASS
+    for kind in ("rough", "smooth"):
+        medians = re.search(kind + r" medians (\{[^}]*\})", gap.detail).group(1)
+        assert re.findall(r"(\d+): ", medians) == ["4", "16", "64"]
 
 
 def test_lemma_suite_skip_is_not_a_pass(tmp_path, capsys):

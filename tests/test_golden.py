@@ -60,11 +60,9 @@ def _recorded(out):
                      NoiseStream(seed=0), cfg.ambient)
         last = len(traj.times) - 1
         picks = [0, last // 2, last]
-        states = [traj.states[k] for k in picks]
         arrays[f"{label}_records"] = np.array(picks)
         arrays[f"{label}_times"] = traj.times[picks]
-        arrays[f"{label}_states"] = np.array(
-            [np.concatenate((X.u1.values, X.u2.values, [X.p])) for X in states])
+        arrays[f"{label}_states"] = traj.values[picks]
         arrays[f"{label}_norm_h2"] = traj.norm_h2
     return arrays
 

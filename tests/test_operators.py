@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from stefansim import Grid, GridFunction, State, SpectralOperator, apply_A, semigroup, K_A, state_norm
+from stefansim import Grid, SpectralOperator, apply_A, semigroup, K_A, state_norm
 from stefansim.errors import GridMismatch
 from stefansim.operators import apply_factors, smoothing_check
 
@@ -20,7 +20,15 @@ def op(grid):
 
 
 def _mode(grid, k):
-    return GridFunction.from_callable(grid, lambda x: np.sin(k * np.pi * x / grid.L))
+    return np.sin(k * np.pi * grid.nodes / grid.L)
+
+
+def row(u1, u2, p):
+    return np.concatenate((u1, u2, [p]))
+
+
+def zero(grid, p=0.0):
+    return row(np.zeros(grid.M), np.zeros(grid.M), p)
 
 
 def test_eigenvalues_negative_sorted(op):
@@ -29,70 +37,69 @@ def test_eigenvalues_negative_sorted(op):
 
 
 def test_apply_A_zero_and_scalar(op, grid):
-    Z = State.zero(grid)
-    out = apply_A(op, Z)
-    assert state_norm(out, "L2") == 0.0
-    one = State(GridFunction.zero(grid), GridFunction.zero(grid), 1.0)
-    assert apply_A(op, one).p == -1.0
+    out = apply_A(op, zero(grid))
+    assert state_norm(grid, out, "L2") == 0.0
+    assert apply_A(op, zero(grid, 1.0))[-1] == -1.0
 
 
 def test_apply_A_eigenrelation(op, grid):
     phi = _mode(grid, 1)
-    X = State(phi, GridFunction.zero(grid), 0.0)
-    out = apply_A(op, X)
-    expected = op.eigenvalues_plus[0] * phi.values
-    assert np.max(np.abs(out.u1.values - expected)) / np.max(np.abs(expected)) < 1e-12
+    out = apply_A(op, row(phi, np.zeros(grid.M), 0.0))
+    expected = op.eigenvalues_plus[0] * phi
+    assert np.max(np.abs(out[: grid.M] - expected)) / np.max(np.abs(expected)) < 1e-12
 
 
 def test_apply_A_grid_mismatch(op):
-    other = Grid(1.0, 63)
+    # a row of another grid's length
     with pytest.raises(GridMismatch):
-        apply_A(op, State.zero(other))
+        apply_A(op, zero(Grid(1.0, 63)))
 
 
 def test_semigroup_identity_at_zero(op, grid):
     rng = np.random.default_rng(0)
-    X = State(GridFunction(grid, rng.standard_normal(grid.M)), GridFunction(grid, rng.standard_normal(grid.M)), 1.3)
+    X = row(rng.standard_normal(grid.M), rng.standard_normal(grid.M), 1.3)
     Y = semigroup(op, 0.0, X)
-    assert np.max(np.abs(Y.u1.values - X.u1.values)) < 1e-14
-    assert Y.p == X.p
+    assert np.max(np.abs(Y[: grid.M] - X[: grid.M])) < 1e-14
+    assert Y[-1] == X[-1]
 
 
 def test_semigroup_eigen_decay(op, grid):
     phi = _mode(grid, 1)
-    X = State(phi, GridFunction.zero(grid), 0.0)
+    X = row(phi, np.zeros(grid.M), 0.0)
     t = 0.1
     Y = semigroup(op, t, X)
     factor = math.exp(t * op.eigenvalues_plus[0])
-    assert np.max(np.abs(Y.u1.values - factor * phi.values)) < 1e-12
-    assert np.max(np.abs(Y.u2.values)) == 0.0
+    assert np.max(np.abs(Y[: grid.M] - factor * phi)) < 1e-12
+    assert np.max(np.abs(Y[grid.M : 2 * grid.M])) == 0.0
 
 
 def test_semigroup_contraction(op, grid):
     rng = np.random.default_rng(1)
     for _ in range(20):
-        X = State(
-            GridFunction(grid, rng.standard_normal(grid.M)),
-            GridFunction(grid, rng.standard_normal(grid.M)),
-            float(rng.standard_normal()),
-        )
+        X = row(rng.standard_normal(grid.M), rng.standard_normal(grid.M), float(rng.standard_normal()))
         t = float(rng.uniform(0.0, 2.0))
-        assert state_norm(semigroup(op, t, X), "L2") <= state_norm(X, "L2") * (1 + 1e-14)
+        assert state_norm(grid, semigroup(op, t, X), "L2") <= state_norm(grid, X, "L2") * (1 + 1e-14)
         # negative type: decay is at least e^{-t}
-        assert state_norm(semigroup(op, t, X), "L2") <= math.exp(-t) * state_norm(X, "L2") * (1 + 1e-12)
+        assert state_norm(grid, semigroup(op, t, X), "L2") <= math.exp(-t) * state_norm(grid, X, "L2") * (1 + 1e-12)
 
 
 def test_semigroup_property(op, grid):
     rng = np.random.default_rng(2)
-    X = State(GridFunction(grid, rng.standard_normal(grid.M)), GridFunction(grid, rng.standard_normal(grid.M)), 0.4)
+    X = row(rng.standard_normal(grid.M), rng.standard_normal(grid.M), 0.4)
     a = semigroup(op, 0.3, semigroup(op, 0.2, X))
     b = semigroup(op, 0.5, X)
-    assert state_norm(a - b, "L2") < 1e-12 * state_norm(b, "L2")
+    assert state_norm(grid, a - b, "L2") < 1e-12 * state_norm(grid, b, "L2")
 
 
 def test_semigroup_rejects_negative_time(op, grid):
     with pytest.raises(ValueError):
-        semigroup(op, -0.1, State.zero(grid))
+        semigroup(op, -0.1, zero(grid))
+
+
+def test_semigroup_grid_mismatch(op):
+    for t in (0.0, 0.1):
+        with pytest.raises(GridMismatch):
+            semigroup(op, t, zero(Grid(1.0, 63)))
 
 
 def test_K_A_scalar_direction_and_regression(grid):
@@ -110,7 +117,7 @@ def test_K_A_swap_symmetry(grid):
 
 def test_smoothing_check(op, grid):
     phi = _mode(grid, 3)
-    X = State(phi, GridFunction.zero(grid), 0.0)
+    X = row(phi, np.zeros(grid.M), 0.0)
     worst = 0.0
     for t in np.geomspace(1e-4, 1.0, 9):
         lhs, rhs = smoothing_check(op, float(t), X, 1.0, 0.0)
@@ -127,13 +134,13 @@ def test_generator_consistency(op, grid):
     from scipy.fft import dst
 
     coeffs = rng.standard_normal(grid.M) * k**-4.0
-    f = GridFunction(grid, dst(coeffs, type=1) / (2.0 * (grid.M + 1)))
-    X = State(f, GridFunction.zero(grid), 0.7)
+    f = dst(coeffs, type=1) / (2.0 * (grid.M + 1))
+    X = row(f, np.zeros(grid.M), 0.7)
     AX = apply_A(op, X)
     errs = []
     for eps in (1e-3, 5e-4):
         diff = (1.0 / eps) * (semigroup(op, eps, X) - X)
-        errs.append(state_norm(diff - AX, "L2"))
+        errs.append(state_norm(grid, diff - AX, "L2"))
     assert errs[1] < 0.7 * errs[0]
 
 

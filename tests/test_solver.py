@@ -10,10 +10,9 @@ from stefansim import (
     AmbientGrid,
     CoefficientSet,
     Grid,
-    GridFunction,
+    GridMismatch,
     NoiseStream,
     SolveConfig,
-    State,
     SpectralOperator,
     TruncationSpec,
     exit_times,
@@ -36,7 +35,7 @@ from stefansim.coefficients import (
     transport_direction,
 )
 from stefansim.experiments import load_config, resolve
-from stefansim.grids import interface_weights
+from stefansim.grids import interface_weights, padded
 from stefansim.noise import NoiseIncrement
 from stefansim.solver import ExitEvent, Trajectory
 
@@ -68,16 +67,19 @@ def make_model(ambient, mu=None, sigma=None, rho=None):
     )
 
 
+def row(u1, u2, p):
+    return np.concatenate((u1, u2, [p]))
+
+
 def sine_state(grid, amplitude=1.0):
-    f = GridFunction.from_callable(grid, lambda x: amplitude * np.sin(np.pi * x / grid.L))
-    return State(f, GridFunction.zero(grid), 0.0)
+    return row(amplitude * np.sin(np.pi * grid.nodes / grid.L), np.zeros(grid.M), 0.0)
 
 
-def drift(model, X, n):
-    """The drift B_n at X as a State, from the array function the solver steps."""
-    U = X.padded()
-    rows, dp = drift_rows(model, U, X.p, transport_direction(U, X.grid.h), interface_weights(X.grid, n), X.grid)
-    return State(GridFunction(X.grid, rows[0]), GridFunction(X.grid, rows[1]), dp)
+def drift(model, grid, X, n):
+    """The drift B_n at the state row X as a row, from the array function the solver steps."""
+    U = padded(grid, X)
+    rows, dp = drift_rows(model, U, X[-1], transport_direction(U, grid.h), interface_weights(grid, n), grid)
+    return np.append(rows, dp)
 
 
 def test_config_validation():
@@ -99,8 +101,8 @@ def test_heat_decay_oracle(grid, ambient):
     cfg = SolveConfig(dt=1e-4, T=0.1, n=INF, record_every=100)
     traj = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=0), ambient)
     assert not traj.exited
-    final = traj.final_state.u1.values
-    target = math.exp(-math.pi**2 * 0.1) * sine_state(grid).u1.values
+    final = traj.values[-1, : grid.M]
+    target = math.exp(-math.pi**2 * 0.1) * sine_state(grid)[: grid.M]
     assert np.max(np.abs(final - target)) / np.max(np.abs(target)) < 1e-2
 
 
@@ -110,14 +112,14 @@ def test_scalar_motion(grid, ambient):
     op = SpectralOperator(grid, 1.0, 1.0)
     dt = 1e-3
     cfg = SolveConfig(dt=dt, T=0.5, n=INF, record_every=1)
-    X0 = State(GridFunction.zero(grid), GridFunction.zero(grid), 0.25)
+    X0 = row(np.zeros(grid.M), np.zeros(grid.M), 0.25)
     traj = solve(op, model, cfg, X0, NoiseStream(seed=0), ambient)
     # single-step recursion p+ = e^{-dt} (p + dt (1 + p))
     p = 0.25
     for _ in range(cfg.num_steps):
         p = math.exp(-dt) * (p + dt * (1.0 + p))
-    assert traj.final_state.p == pytest.approx(p, rel=1e-12)
-    assert abs(traj.final_state.p - 0.75) < 5 * dt
+    assert traj.values[-1, -1] == pytest.approx(p, rel=1e-12)
+    assert abs(traj.values[-1, -1] - 0.75) < 5 * dt
 
 
 def test_step_richardson(grid, ambient):
@@ -129,13 +131,13 @@ def test_step_richardson(grid, ambient):
     model = make_model(ambient, rho=rho_linear(0.5))
     op = SpectralOperator(cg, 1.0, 1.0)
     X = sine_state(cg, 0.5)
-    rhs = apply_A(op, X) + drift(model, X, INF)
+    rhs = apply_A(op, X) + drift(model, cg, X, INF)
     errs = []
     for dt in (1e-5, 5e-6):
         cfg = SolveConfig(dt=dt, T=1.0, n=INF)
         inc = NoiseIncrement(np.zeros(ambient.J), 0, dt)
         Y = step(op, model, cfg, X, inc, ambient)
-        errs.append(state_norm((1.0 / dt) * (Y - X) - rhs, "L2"))
+        errs.append(state_norm(cg, (1.0 / dt) * (Y - X) - rhs, "L2"))
     assert errs[1] < 0.7 * errs[0]
 
 
@@ -144,7 +146,7 @@ def test_truncated_large_state_decays(grid, ambient):
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-3, T=0.05, n=INF, truncation=TruncationSpec(0.5))
     X0 = sine_state(grid, 10.0)
-    assert state_norm(X0, "H2") ** 2 > (0.5 + 1.0) ** 2
+    assert state_norm(grid, X0, "H2") ** 2 > (0.5 + 1.0) ** 2
     traj = solve(op, model, cfg, X0, NoiseStream(seed=3), ambient)
     norms = traj.norm_h2
     assert np.all(np.diff(norms) < 0)
@@ -166,10 +168,34 @@ def test_determinism(grid, ambient):
     cfg = SolveConfig(dt=1e-3, T=0.05, n=8, record_every=10)
     a = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=11), ambient)
     b = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=11), ambient)
-    assert np.array_equal(a.final_state.u1.values, b.final_state.u1.values)
-    assert a.final_state.p == b.final_state.p
+    assert np.array_equal(a.values[-1], b.values[-1])
     c = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=12), ambient)
-    assert not np.array_equal(a.final_state.u1.values, c.final_state.u1.values)
+    assert not np.array_equal(a.values[-1, : grid.M], c.values[-1, : grid.M])
+
+
+def test_solve_grid_mismatch(grid, ambient):
+    # a row of another grid's length
+    model = make_model(ambient)
+    op = SpectralOperator(grid, 1.0, 1.0)
+    cfg = SolveConfig(dt=1e-3, T=1e-2, n=INF)
+    with pytest.raises(GridMismatch):
+        solve(op, model, cfg, sine_state(Grid(1.0, 63)), NoiseStream(seed=0), ambient)
+
+
+@pytest.mark.parametrize("n", [8, INF])
+def test_step_is_solves_step(n):
+    # one step from every recorded state, with the increment solve drew for
+    # it, reproduces the next recorded state bit for bit
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
+    c = resolve(dict(base, grid=dict(base["grid"], M=63), mode="simulate", family=[8, "inf"]))
+    assert c.solve.truncation is not None
+    cfg = replace(c.solve, n=n, T=20 * c.solve.dt, record_every=1)
+    stream = NoiseStream(seed=0)
+    traj = solve(c.operator, c.model, cfg, c.initial, stream, c.ambient)
+    assert not traj.exited and len(traj.values) == 21
+    for k in range(20):
+        inc = stream.increment(k, cfg.dt, c.ambient)
+        assert np.array_equal(step(c.operator, c.model, cfg, traj.values[k], inc, c.ambient), traj.values[k + 1])
 
 
 def test_truncation_consistency_bitwise(grid, ambient):
@@ -183,10 +209,7 @@ def test_truncation_consistency_bitwise(grid, ambient):
         a = solve(op, model, base, sine_state(grid, 0.2), NoiseStream(seed=seed), ambient)
         b = solve(op, model, trunc, sine_state(grid, 0.2), NoiseStream(seed=seed), ambient)
         assert np.all(a.norm_h2 < r)
-        for Xa, Xb in zip(a.states, b.states):
-            assert np.array_equal(Xa.u1.values, Xb.u1.values)
-            assert np.array_equal(Xa.u2.values, Xb.u2.values)
-            assert Xa.p == Xb.p
+        assert np.array_equal(a.values, b.values)
 
 
 def _norm_history(dt, norm_h2, exit=None):
@@ -227,15 +250,15 @@ def test_boundary_leaving_window_ends_path(grid):
     model = make_model(ambient, rho=rho_linear(20.0))
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=2e-3, T=0.1, n=INF, record_every=5)
-    f = GridFunction.from_callable(grid, lambda x: x * np.exp(-4.0 * x * x))
-    traj = solve(op, model, cfg, State(f, GridFunction.zero(grid), 0.0), NoiseStream(seed=0), ambient)
+    f = grid.nodes * np.exp(-4.0 * grid.nodes**2)
+    traj = solve(op, model, cfg, row(f, np.zeros(grid.M), 0.0), NoiseStream(seed=0), ambient)
     assert traj.exited and traj.exit.kind == "window"
     k = traj.exit.step
     assert 0 < k < cfg.num_steps
     assert len(traj.norm_h2) == k + 1
     assert traj.times[-1] == traj.exit.time == k * cfg.dt
-    assert not ambient.covers(traj.final_state.p, grid.L)
-    assert all(ambient.covers(X.p, grid.L) for X in traj.states[:-1])
+    assert not ambient.covers(traj.values[-1, -1], grid.L)
+    assert all(ambient.covers(p, grid.L) for p in traj.values[:-1, -1])
 
 
 def test_noise_free_step_draws_nothing(grid, ambient):
@@ -288,12 +311,12 @@ def test_mild_vs_strong_identity(grid, ambient):
 
     traj = solve(op, model, cfg, X0, ZeroStream(), ambient)
     K = cfg.num_steps
-    acc = State.zero(grid)
+    acc = np.zeros(2 * grid.M + 1)
     for k in range(K):
-        contrib = semigroup(op, (K - k) * dt, dt * drift(model, traj.states[k], INF))
+        contrib = semigroup(op, (K - k) * dt, dt * drift(model, grid, traj.values[k], INF))
         acc = acc + contrib
-    lhs = traj.states[K] - semigroup(op, K * dt, X0)
-    assert state_norm(lhs - acc, "H1") < 10 * dt
+    lhs = traj.values[K] - semigroup(op, K * dt, X0)
+    assert state_norm(grid, lhs - acc, "H1") < 10 * dt
 
 
 def test_strong_order_under_common_noise(ambient):
@@ -327,7 +350,7 @@ def test_strong_order_under_common_noise(ambient):
             paths.append(traj)
         for level, (a, b) in enumerate(zip(paths, paths[1:])):
             assert np.allclose(a.times, b.times, rtol=0, atol=1e-12)
-            sup_dist[level] += max(state_norm(x - y, "L2") for x, y in zip(a.states, b.states))
+            sup_dist[level] += max(state_norm(grid, x - y, "L2") for x, y in zip(a.values, b.values))
     sup_dist /= len(seeds)
     order = float(np.polyfit(np.log(dt / 2.0 ** np.arange(halvings)), np.log(sup_dist), 1)[0])
     ok = order >= 0.4
