@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import WindowUnresolved
-from .grids import Grid, diff1, interface_weights, padded, padded_state_norm, sq_norm
+from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm
 from .noise import AmbientGrid, Kernel, NoiseIncrement, check_window, color_field
 
 __all__ = [
@@ -99,16 +100,28 @@ def h_r(spec: TruncationSpec, s: float) -> float:
     return 1.0 - t * t * t * (10.0 - 15.0 * t + 6.0 * t * t)
 
 
-def transport_direction(U: np.ndarray, h: float) -> np.ndarray:
-    """Phase rows (u1', -u2') of the transport direction grad_bar = (u1', -u2', 1) of U (2, M+2)."""
-    g = diff1(U, h)
-    g[1] *= -1.0
+@lru_cache(maxsize=8)
+def _signed_steps(h: float) -> np.ndarray:
+    s = np.array([[2.0 * h], [-2.0 * h]])
+    s.setflags(write=False)
+    return s
+
+
+def transport_direction(U: np.ndarray, h: float, out=None) -> np.ndarray:
+    """Phase rows (u1', -u2') of the transport direction grad_bar = (u1', -u2', 1) of U (2, M+2).
+
+    Written into ``out`` (2, M) if given.  It is diff1(U, h) with row u2
+    negated, bit for bit: a quotient by -2h is the negated quotient by 2h.
+    """
+    g = np.subtract(U[:, 2:], U[:, :-2], out=out)
+    g /= _signed_steps(h)
     return g
 
 
-def reaction(c: CoefficientSet, U: np.ndarray, g: np.ndarray, grid: Grid) -> np.ndarray:
-    """Phase rows mu+(x, u1, u1') and mu-(-x, u2, -u2') of N_mu; g from transport_direction."""
-    out = np.empty_like(g)
+def reaction(c: CoefficientSet, U: np.ndarray, g: np.ndarray, grid: Grid, out=None) -> np.ndarray:
+    """Phase rows mu+(x, u1, u1') and mu-(-x, u2, -u2') of N_mu, into ``out`` if given; g from transport_direction."""
+    if out is None:
+        out = np.empty_like(g)
     out[0] = c.mu_plus(grid.nodes, U[0, 1:-1], g[0])
     out[1] = c.mu_minus(grid.reflected_nodes, U[1, 1:-1], g[1])
     return out
@@ -120,28 +133,44 @@ def interface_speed(c: CoefficientSet, U: np.ndarray, w: np.ndarray) -> float:
     return float(c.rho(a, -b))
 
 
-def drift_rows(c: CoefficientSet, U: np.ndarray, p: float, g: np.ndarray, w: np.ndarray, grid: Grid):
-    """Drift N_mu + Psi_n * grad_bar + Id at the state (U, p): phase rows (2, M) and p component."""
+def drift_rows(
+    c: CoefficientSet, U: np.ndarray, p: float, g: np.ndarray, w: np.ndarray, grid: Grid, out=None, interior=None
+):
+    """Drift N_mu + Psi_n * grad_bar + Id at the state (U, p): phase rows (2, M) and p component.
+
+    The phase rows are written into ``out`` (2, M) if given.  ``interior`` is
+    U[:, 1:-1] as a contiguous array, if the caller holds one.
+    """
     psi = interface_speed(c, U, w)
-    out = psi * g
-    out += reaction(c, U, g, grid)
-    out += U[:, 1:-1]
+    # N_mu + Psi_n * grad_bar has the bits of Psi_n * grad_bar + N_mu: one
+    # rounded addition per entry, which is commutative
+    out = reaction(c, U, g, grid, out)
+    out += psi * g
+    out += U[:, 1:-1] if interior is None else interior
     return out, psi + p
 
 
 def diffusion_rows(
-    c: CoefficientSet, U: np.ndarray, p: float, draw: Callable[[], NoiseIncrement], ambient: AmbientGrid, grid: Grid
+    c: CoefficientSet,
+    U: np.ndarray,
+    p: float,
+    draw: Callable[[], NoiseIncrement],
+    ambient: AmbientGrid,
+    grid: Grid,
+    out=None,
 ) -> Optional[np.ndarray]:
     """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0.
 
     ``draw()`` returns the increment.  Where every sigma entry is zero the
     product is zero whatever the increment: nothing is drawn or colored, only
-    the boundary is checked against the window, and the result is None.
+    the boundary is checked against the window, and the result is None.  The
+    rows are written into ``out`` (2, M) if given.
     """
-    out = np.empty((2, grid.M))
+    if out is None:
+        out = np.empty((2, grid.M))
     out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
     out[1] = c.sigma_minus(grid.reflected_nodes, U[1, 1:-1])
-    if not out.any():
+    if not np.count_nonzero(out):
         check_window(ambient, p, grid.L)
         return None
     out *= color_field(c.kernel, ambient, draw(), p, grid)
@@ -175,7 +204,7 @@ def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
 # Builtin coefficient families (selected by name from experiment configs)
 
 def mu_zero():
-    return lambda x, v, vp: np.zeros_like(np.asarray(v, dtype=float))
+    return lambda x, v, vp: np.zeros(np.shape(v))
 
 
 def mu_linear(c_v: float = 0.0, c_vp: float = 0.0):
@@ -193,7 +222,7 @@ def mu_quadratic(coeff: float = 1.0):
 
 
 def sigma_zero():
-    return lambda x, v: np.zeros_like(np.asarray(v, dtype=float))
+    return lambda x, v: np.zeros(np.shape(v))
 
 
 def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: float = 1.0):

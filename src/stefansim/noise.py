@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +61,12 @@ class AmbientGrid:
     def dy(self) -> float:
         return (self.x_hi - self.x_lo) / (self.J - 1)
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.J)
+        """The J equispaced nodes from x_lo to x_hi (read-only)."""
+        y = np.linspace(self.x_lo, self.x_hi, self.J)
+        y.setflags(write=False)
+        return y
 
     def covers(self, p: float, L: float) -> bool:
         return self.x_lo <= p - L and p + L <= self.x_hi

@@ -88,8 +88,14 @@ def semigroup_factors(op: SpectralOperator, t: float):
 
 
 def apply_factors(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """e^{tA} on the phase rows Y (2, M): one DST of both rows, the factors F, a second DST."""
-    return dst(F * dst(Y, type=1), type=1)
+    """e^{tA} on the phase rows Y (2, M): one DST of both rows, the factors F, a second DST.
+
+    Works in place: Y is overwritten, and the result, returned, may share its
+    memory.  The bits are those of ``dst(F * dst(Y, type=1), type=1)``.
+    """
+    Y = dst(Y, type=1, overwrite_x=True)
+    Y *= F
+    return dst(Y, type=1, overwrite_x=True)
 
 
 def semigroup(op: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:

@@ -7,11 +7,15 @@ drift, Ito (left endpoint) in the noise.  A step whose diffusion coefficients
 vanish at the current state draws no noise increment.
 
 A state is the row u1 | u2 | p (see ``grids``).  ``_advance`` steps its
-padded phases, one contiguous buffer of shape (2, M+2) per path, plus the
-scalar p, through the array functions of ``coefficients``, and applies the
-cutoff of a truncated run there.  ``solve`` loops it from an initial row and
-records rows; ``step`` runs it once from a row and returns the next, which is
-how the lemma battery checks the cutoff that runs.
+padded phases (2, M+2) plus the scalar p through the array functions of
+``coefficients``, and applies the cutoff of a truncated run there.  It
+writes every array of the state's size that it can into the buffers of a
+``_Workspace``: ping-pong padded states, ping-pong rows that take the drift
+and then the next state's interior, and the transport and noise rows.
+``solve`` makes one workspace per path, loops the step from an initial row
+and records rows; ``step`` makes a one-off workspace, runs the same step once
+from a row and returns the next, which is how the lemma battery checks the
+cutoff that runs.
 """
 
 from __future__ import annotations
@@ -90,37 +94,74 @@ class Trajectory:
         return self.values[:, -1].copy()
 
 
-def _advance(op, c, cfg, U, p, g, nrm, draw, k, ambient, factors, w):
-    """Step ``k`` of exponential Euler from the padded phases U (2, M+2) and boundary p.
+class _Workspace:
+    """The current state of one path and the buffers it is stepped in, allocated once per path.
 
-    ``g`` is transport_direction(U) and ``nrm`` the H2-state norm of (U, p);
-    the cutoff factor is evaluated once from it and applied to drift and
-    diffusion.  ``draw()`` returns the noise increment of the step; it is not
-    called when the diffusion coefficients vanish at (U, p).  Returns the new
-    (U, p).
+    The state is held as padded phases ``states[i]`` (2, M+2), whose
+    Dirichlet columns stay zero, for the differences; as their interior
+    ``Y`` (2, M), contiguous, for the sums; and as the boundary ``p``.  ``g``
+    holds its transport direction and ``nrm`` its H2-state norm.  A step
+    assembles the drift in ``rows[1 - i]``, which the semigroup turns into
+    the next ``Y`` in place, writes the next padded phases into
+    ``states[1 - i]`` and flips i.  ``noise`` holds the noise rows of a step.
+    """
+
+    __slots__ = ("states", "rows", "noise", "g", "i", "Y", "p", "nrm")
+
+    def __init__(self, grid: Grid, x: np.ndarray):
+        M = grid.M
+        U = padded(grid, x)
+        self.states = (U, np.zeros((2, M + 2)))
+        self.rows = (np.ascontiguousarray(U[:, 1:-1]), np.empty((2, M)))
+        self.noise = np.empty((2, M))
+        self.g = transport_direction(U, grid.h)
+        self.i, self.Y, self.p = 0, self.rows[0], float(x[-1])
+        self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g, self.Y)
+
+    @property
+    def row(self) -> np.ndarray:
+        """The current state as a row u1 | u2 | p."""
+        return np.append(self.Y, self.p)
+
+
+def _advance(op, c, cfg, ws, draw, k, ambient, factors, w):
+    """Step ``k`` of exponential Euler from the current state of the workspace ``ws``.
+
+    The cutoff factor is evaluated once from the norm ``ws.nrm`` and applied
+    to drift and diffusion.  ``draw()`` returns the noise increment of the
+    step; it is not called when the diffusion coefficients vanish at the
+    state.  The new state becomes the current state of ``ws``.  A norm that
+    is not finite is followed by an entrywise check; a non-finite entry
+    raises NonFiniteState and leaves ``ws`` unfit for another step.
     """
     grid = op.grid
-    drift, drift_p = drift_rows(c, U, p, g, w, grid)
-    noise = diffusion_rows(c, U, p, draw, ambient, grid)
+    i, Y, p = ws.i, ws.Y, ws.p
+    U = ws.states[i]
+    drift, drift_p = drift_rows(c, U, p, ws.g, w, grid, ws.rows[1 - i], Y)
+    noise = diffusion_rows(c, U, p, draw, ambient, grid, ws.noise)
     if cfg.truncation is not None:
         # looked up on the module so that a wrapper of coefficients.h_r sees the call
-        f = coefficients.h_r(cfg.truncation, nrm**2)
+        f = coefficients.h_r(cfg.truncation, ws.nrm**2)
         if f != 1.0:
             drift *= f
             if noise is not None:
                 noise *= f
             drift_p = f * drift_p
     drift *= cfg.dt
-    drift += U[:, 1:-1]
+    drift += Y
     if noise is not None:
         drift += noise
     F, fp = factors
-    out = np.zeros_like(U)
-    out[:, 1:-1] = apply_factors(F, drift)
-    p_out = fp * (p + cfg.dt * drift_p)
-    if not (np.isfinite(out).all() and math.isfinite(p_out)):
+    Y = apply_factors(F, drift)
+    U = ws.states[1 - i]
+    U[:, 1:-1] = Y
+    p = fp * (p + cfg.dt * drift_p)
+    h = grid.h
+    nrm = padded_state_norm(U, p, h, "H2", transport_direction(U, h, ws.g), Y)
+    # a finite norm is a sum of finite squares, so every entry is finite
+    if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
         raise NonFiniteState(f"non-finite state after step at index {k}")
-    return out, p_out
+    ws.i, ws.Y, ws.p, ws.nrm = 1 - i, Y, p, nrm
 
 
 def step(
@@ -132,14 +173,11 @@ def step(
     ambient: AmbientGrid,
 ) -> np.ndarray:
     """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, inc)."""
-    h = op.grid.h
-    U, p = padded(op.grid, x), float(x[-1])
-    g = transport_direction(U, h)
-    nrm = padded_state_norm(U, p, h, "H2", g)
+    ws = _Workspace(op.grid, x)
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    U, p = _advance(op, c, cfg, U, p, g, nrm, lambda: inc, inc.step_index, ambient, factors, w)
-    return np.append(U[:, 1:-1], p)
+    _advance(op, c, cfg, ws, lambda: inc, inc.step_index, ambient, factors, w)
+    return ws.row
 
 
 def solve(
@@ -157,26 +195,25 @@ def solve(
     is flagged as the exit and not recorded.  A state whose boundary has left
     the ambient window cannot be stepped; it ends the path as a "window" exit
     and is recorded as the last state, like the state crossing the explosion
-    radius.  With truncated coefficients the drift and diffusion are bounded,
-    so runs only stop early at the explosion radius if that radius was set
-    inside the cutoff ball.
+    radius.  The state at the horizon is always recorded, whether or not
+    ``record_every`` divides the number of steps.  With truncated
+    coefficients the drift and diffusion are bounded, so runs only stop early
+    at the explosion radius if that radius was set inside the cutoff ball.
     """
-    h = op.grid.h
-    U, p = padded(op.grid, x0), float(x0[-1])
+    ws = _Workspace(op.grid, x0)
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    g = transport_direction(U, h)
-    nrm = padded_state_norm(U, p, h, "H2", g)
     times = [0.0]
-    rows = [np.append(U[:, 1:-1], p)]
-    norms = [nrm]
+    rows = [ws.row]
+    norms = [ws.nrm]
     exit_event: Optional[ExitEvent] = None
+    last = cfg.num_steps - 1
 
     for k in range(cfg.num_steps):
         t_next = (k + 1) * cfg.dt
         draw = partial(stream.increment, k, cfg.dt, ambient)
         try:
-            U_next, p_next = _advance(op, c, cfg, U, p, g, nrm, draw, k, ambient, factors, w)
+            _advance(op, c, cfg, ws, draw, k, ambient, factors, w)
         except NonFiniteState:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
             break
@@ -185,22 +222,20 @@ def solve(
             exit_event = ExitEvent(step=k, time=t_exit, threshold=math.inf, kind="window")
             if times[-1] != t_exit:
                 times.append(t_exit)
-                rows.append(np.append(U[:, 1:-1], p))
+                rows.append(ws.row)
             break
-        U, p = U_next, p_next
-        g = transport_direction(U, h)
-        nrm = padded_state_norm(U, p, h, "H2", g)
+        nrm = ws.nrm
         norms.append(nrm)
-        if (k + 1) % cfg.record_every == 0:
+        if (k + 1) % cfg.record_every == 0 or k == last:
             times.append(t_next)
-            rows.append(np.append(U[:, 1:-1], p))
+            rows.append(ws.row)
         if nrm > cfg.explosion_radius:
             exit_event = ExitEvent(
                 step=k + 1, time=t_next, threshold=cfg.explosion_radius, kind="radius"
             )
             if times[-1] != t_next:
                 times.append(t_next)
-                rows.append(np.append(U[:, 1:-1], p))
+                rows.append(ws.row)
             break
 
     return Trajectory(

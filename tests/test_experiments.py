@@ -280,6 +280,17 @@ def test_simulate_trajectory_columns(tmp_path):
     assert meta["exited"] is False
 
 
+def test_simulate_records_final_state(tmp_path):
+    # record_every = 7 does not divide the 20 steps: the state at T is still recorded
+    raw = base_raw(tmp_path)
+    raw["solve"] = dict(raw["solve"], record_every=7)
+    metas = run_simulate(resolve(raw))
+    assert all(not m["exited"] and m["final_time"] == raw["solve"]["T"] for m in metas)
+    with open(tmp_path / "traj_n8_seed0.csv", newline="") as fh:
+        times = [float(r[0]) for r in list(csv.reader(fh))[1:]]
+    assert times == pytest.approx([0.0, 0.007, 0.014, 0.02], abs=1e-15)
+
+
 def test_window_exit_does_not_abort_study(tmp_path):
     # rho0 = 20 moves p by about 0.08 in the first step, past a 0.05 pad
     raw = base_raw(tmp_path / "sim")

@@ -37,6 +37,7 @@ from stefansim.coefficients import (
 from stefansim.experiments import load_config, resolve
 from stefansim.grids import interface_weights, padded
 from stefansim.noise import NoiseIncrement
+from stefansim.errors import BoundaryLeftWindow
 from stefansim.solver import ExitEvent, Trajectory
 
 REPORT_LINES = []
@@ -182,20 +183,61 @@ def test_solve_grid_mismatch(grid, ambient):
         solve(op, model, cfg, sine_state(Grid(1.0, 63)), NoiseStream(seed=0), ambient)
 
 
-@pytest.mark.parametrize("n", [8, INF])
-def test_step_is_solves_step(n):
-    # one step from every recorded state, with the increment solve drew for
-    # it, reproduces the next recorded state bit for bit
+def _step_case(case):
+    """(op, model, cfg, x0, ambient) of a path whose steps test_step_is_solves_step replays."""
     base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
-    c = resolve(dict(base, grid=dict(base["grid"], M=63), mode="simulate", family=[8, "inf"]))
+    raw = dict(base, grid=dict(base["grid"], M=63), mode="simulate", family=[8, "inf"])
+    if case == "noise-free":
+        # as in stefan-oracle: zero sigma, linear rho, no truncation
+        raw["model"] = dict(base["model"], sigma={"name": "zero"}, rho={"name": "linear", "rho0": 1.0})
+    elif case == "window":
+        # strong transport out of a narrow window: a "window" exit after a few steps
+        raw["model"] = dict(base["model"], rho={"name": "linear", "rho0": 20.0})
+        raw["ambient"] = dict(base["ambient"], pad=0.05)
+    c = resolve(raw)
     assert c.solve.truncation is not None
+    n = case if case in (8, INF) else INF
     cfg = replace(c.solve, n=n, T=20 * c.solve.dt, record_every=1)
+    if case == "noise-free":
+        cfg = replace(cfg, truncation=None)
+    return c.operator, c.model, cfg, c.initial, c.ambient
+
+
+@pytest.mark.parametrize("case", [8, INF, "noise-free", "window"])
+def test_step_is_solves_step(case):
+    # one step from every recorded state, with the increment solve drew for
+    # it, reproduces the next recorded state bit for bit; from the state that
+    # left the window, a step raises as the solve loop's step did
+    op, model, cfg, x0, ambient = _step_case(case)
     stream = NoiseStream(seed=0)
-    traj = solve(c.operator, c.model, cfg, c.initial, stream, c.ambient)
-    assert not traj.exited and len(traj.values) == 21
-    for k in range(20):
-        inc = stream.increment(k, cfg.dt, c.ambient)
-        assert np.array_equal(step(c.operator, c.model, cfg, traj.values[k], inc, c.ambient), traj.values[k + 1])
+    traj = solve(op, model, cfg, x0, stream, ambient)
+    if case == "window":
+        assert traj.exited and traj.exit.kind == "window" and 0 < traj.exit.step < 20
+    else:
+        assert not traj.exited
+    steps = len(traj.values) - 1
+    assert steps == (traj.exit.step if traj.exited else 20)
+    for k in range(steps):
+        inc = stream.increment(k, cfg.dt, ambient)
+        assert np.array_equal(step(op, model, cfg, traj.values[k], inc, ambient), traj.values[k + 1])
+    if case == "window":
+        with pytest.raises(BoundaryLeftWindow):
+            step(op, model, cfg, traj.values[-1], stream.increment(steps, cfg.dt, ambient), ambient)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_nonfinite_exit_from_overflowing_norm():
+    # v^2 reaction without cutoff or radius: the state at step 59 has finite
+    # entries whose H2 norm overflows, and step 60 makes entries non-finite
+    grid, ambient = Grid(1.0, 31), AmbientGrid(-2, 2, 81)
+    model = make_model(ambient, mu=mu_quadratic(1.0))
+    op = SpectralOperator(grid, 1.0, 1.0)
+    cfg = SolveConfig(dt=1e-3, T=1, n=INF, explosion_radius=math.inf)
+    traj = solve(op, model, cfg, sine_state(grid, 30.0), NoiseStream(seed=0), ambient)
+    assert traj.exit == ExitEvent(step=60, time=60 * cfg.dt, threshold=math.inf, kind="nonfinite")
+    assert len(traj.norm_h2) == 60
+    assert traj.norm_h2[-1] == math.inf and np.isfinite(traj.norm_h2[:-1]).all()
+    assert np.isfinite(traj.values).all()
 
 
 def test_truncation_consistency_bitwise(grid, ambient):
