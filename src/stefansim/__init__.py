@@ -12,7 +12,7 @@ from .errors import (
 )
 from .grids import Grid, state_norm
 from .operators import SpectralOperator, apply_A, semigroup, K_A
-from .noise import AmbientGrid, Kernel, NoiseIncrement, NoiseStream, gaussian_kernel
+from .noise import AmbientGrid, Kernel, NoiseStream, gaussian_kernel
 from .coefficients import CoefficientSet, TruncationSpec, h_r
 from .solver import ExitEvent, SolveConfig, Trajectory, exit_times, solve, step
 from .transform import F_inverse, F_transform, MovingProfile, iota

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import WindowUnresolved
 from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm
-from .noise import AmbientGrid, Kernel, NoiseIncrement, check_window, color_field
+from .noise import AmbientGrid, Kernel, check_window, color_field
 
 __all__ = [
     "CoefficientSet",
@@ -46,15 +46,16 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Validated model data: diffusivities, reaction, noise amplitude, interface map.
+    """Validated model data: reaction, noise amplitude, interface map and coloring kernel.
 
+    The diffusivities belong to the linear part, ``operators.SpectralOperator``.
     ``rho_lipschitz`` maps a radius to a Lipschitz constant of rho on the
     centered ball of that radius; the assumptions grant its existence and the
-    lemma-level tests need it explicitly.
+    lemma-level tests need it explicitly.  ``bounded`` marks the bounded
+    regime (bounded rho, affine sigma, mu with bounded slopes in both phases),
+    where the convergence rate and the linear-growth bound are asserted.
     """
 
-    eta_plus: float
-    eta_minus: float
     mu_plus: Callable
     mu_minus: Callable
     sigma_plus: Callable
@@ -62,13 +63,9 @@ class CoefficientSet:
     rho: Callable[[float, float], float]
     rho_lipschitz: Callable[[float], float]
     kernel: Kernel
-    rho_bounded: bool = False
-    sigma_affine_flag: bool = False
-    mu_bounded_slopes: bool = False
+    bounded: bool = False
 
     def __post_init__(self):
-        if not (self.eta_plus > 0 and self.eta_minus > 0):
-            raise ValueError("diffusivities must be positive")
         for name, s in (("sigma_plus", self.sigma_plus), ("sigma_minus", self.sigma_minus)):
             val = float(s(np.array(0.0), np.array(0.0)))
             if abs(val) > 1e-12:
@@ -154,14 +151,14 @@ def diffusion_rows(
     c: CoefficientSet,
     U: np.ndarray,
     p: float,
-    draw: Callable[[], NoiseIncrement],
+    draw: Callable[[], np.ndarray],
     ambient: AmbientGrid,
     grid: Grid,
     out=None,
 ) -> Optional[np.ndarray]:
     """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0.
 
-    ``draw()`` returns the increment.  Where every sigma entry is zero the
+    ``draw()`` returns the increment dW (J,).  Where every sigma entry is zero the
     product is zero whatever the increment: nothing is drawn or colored, only
     the boundary is checked against the window, and the result is None.  The
     rows are written into ``out`` (2, M) if given.

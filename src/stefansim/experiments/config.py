@@ -1,17 +1,19 @@
 """Experiment configuration: parsing, validation and object construction.
 
 Configs are YAML mappings.  ``resolve`` validates the raw dictionary and
-builds the grid, ambient window, kernel and coefficient set; workers rebuild
-from the raw dictionary, so everything here must be constructible from plain
-data.  Unknown keys, non-numeric values and non-integer counts are rejected
-with a ``ConfigError`` that names the key.
+builds what its mode steps (in ``stefan-oracle`` mode, the classical melting
+run of the ``stefan`` section); workers rebuild from the raw dictionary, so
+everything here must be constructible from plain data.  Unknown or
+conflicting keys, non-numeric or non-finite values and non-integer counts are
+rejected with a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 import yaml
@@ -47,9 +49,8 @@ _INITIAL_KEYS = {
 }
 
 # Coefficient families: name -> (factory, in the bounded regime).  A family's
-# parameters and their defaults are the factory's keyword arguments.  The
-# bounded regime (bounded rho, affine sigma, mu with bounded slopes) is where
-# the convergence rate and the linear-growth bound are asserted.
+# parameters and their defaults are the factory's keyword arguments.  A model
+# is in the bounded regime (CoefficientSet.bounded) when all of its families are.
 _FAMILIES = {
     "mu": {
         "zero": (coef.mu_zero, True),
@@ -108,14 +109,17 @@ def _as_int(value, what: str, minimum=None) -> int:
     return n
 
 
-def _as_float(value, what: str) -> float:
-    """A real number from an int, a float or a numeric string; ConfigError otherwise."""
+def _as_float(value, what: str, finite: bool = True) -> float:
+    """A real number, not NaN and finite unless ``finite`` is False, from an int, a float or a numeric string."""
+    x = math.nan
     if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
-            return float(value)
+            x = float(value)
         except ValueError:
             pass
-    raise ConfigError(f"{what} must be a number, got {value!r}")
+    if math.isnan(x) or (finite and math.isinf(x)):
+        raise ConfigError(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
+    return x
 
 
 def _as_bool(value, what: str) -> bool:
@@ -164,9 +168,13 @@ def build_grid(d: dict) -> Grid:
 
 
 def build_ambient(d: dict, grid: Grid, p0: float) -> AmbientGrid:
+    """The window from ``x_lo``/``x_hi`` or else ``pad``; its nodes from ``J`` or else ``dy``."""
     _mapping(d, "ambient", ("x_lo", "x_hi", "pad", "dy", "J"))
     if ("x_lo" in d) != ("x_hi" in d):
         raise ConfigError("ambient.x_lo and ambient.x_hi must be given together")
+    for a, b in (("x_lo", "pad"), ("J", "dy")):
+        if a in d and b in d:
+            raise ConfigError(f"ambient.{a} and ambient.{b} conflict; give one of them")
     if "x_lo" in d:
         x_lo, x_hi = _as_float(d["x_lo"], "ambient.x_lo"), _as_float(d["x_hi"], "ambient.x_hi")
         pad = min(p0 - grid.L - x_lo, x_hi - p0 - grid.L)
@@ -203,6 +211,7 @@ def _family(kind: str, d, where: str):
 
 
 def build_coefficients(model: dict, ambient: AmbientGrid) -> coef.CoefficientSet:
+    """The coefficient set of the ``model`` section; its diffusivities go to the operator (``resolve``)."""
     _mapping(model, "model", _MODEL_KEYS)
     mu_d = model.get("mu", {"name": "zero"})
     sigma_d = model.get("sigma", {"name": "zero"})
@@ -214,8 +223,6 @@ def build_coefficients(model: dict, ambient: AmbientGrid) -> coef.CoefficientSet
     sigma_minus, sigma_minus_ok = _family("sigma", model.get("sigma_minus", sigma_d), "model.sigma_minus")
     (rho, rho_lip), rho_ok = _family("rho", model.get("rho", {"name": "zero"}), "model.rho")
     return coef.CoefficientSet(
-        eta_plus=_as_float(model.get("eta_plus", 1.0), "model.eta_plus"),
-        eta_minus=_as_float(model.get("eta_minus", 1.0), "model.eta_minus"),
         mu_plus=mu_plus,
         mu_minus=mu_minus,
         sigma_plus=sigma_plus,
@@ -223,9 +230,7 @@ def build_coefficients(model: dict, ambient: AmbientGrid) -> coef.CoefficientSet
         rho=rho,
         rho_lipschitz=rho_lip,
         kernel=gaussian_kernel(_as_float(kernel_d.get("scale", 0.5), "model.kernel.scale"), ambient),
-        rho_bounded=rho_ok,
-        sigma_affine_flag=sigma_ok and sigma_minus_ok,
-        mu_bounded_slopes=mu_ok and mu_minus_ok,
+        bounded=mu_ok and mu_minus_ok and sigma_ok and sigma_minus_ok and rho_ok,
     )
 
 
@@ -249,24 +254,6 @@ def build_initial_state(d: dict, grid: Grid) -> np.ndarray:
         fn = lambda x: x * np.exp(-((x / w) ** 2))
     base = fn(grid.nodes)
     return np.concatenate((a1 * base, a2 * base, [p0]))
-
-
-def stefan_params(raw: dict, eta: float):
-    """(rho0, v_inf, eta, t0) of the ``stefan`` section; ``eta`` is the default diffusivity."""
-    defaults = {"rho0": 1.0, "v_inf": 0.5, "eta": eta, "t0": 0.25}
-    sd = _mapping(raw.get("stefan", {}), "stefan", defaults)
-    rho0, v_inf, eta, t0 = (_as_float(sd.get(k, v), f"stefan.{k}") for k, v in defaults.items())
-    if not eta > 0:
-        raise ConfigError(f"stefan.eta must be positive, got {eta}")
-    if not t0 > 0:
-        raise ConfigError(f"stefan.t0 must be positive, got {t0}")
-    # the similarity front exists for Stefan numbers in (0, 1); rho0 = 0 is the stationary front
-    stefan_number = rho0 * v_inf / eta
-    if rho0 != 0.0 and not 0.0 < stefan_number < 1.0:
-        raise ConfigError(
-            f"stefan.rho0 * stefan.v_inf / stefan.eta = {stefan_number} must lie in (0, 1)"
-        )
-    return rho0, v_inf, eta, t0
 
 
 def _front_equation(lam: float) -> float:
@@ -299,13 +286,49 @@ def stefan_front_coefficient(rho0: float, v_inf: float, eta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_stefan_front(raw: dict, eta_default: float, grid: Grid, ambient: AmbientGrid, T: float, warnings: list):
-    """Reject a similarity front whose boundary frame leaves the noise window, and
-    warn when the grid resolves the similarity boundary layer with too few cells."""
-    rho0, v_inf, eta, t0 = stefan_params(raw, eta_default)
+@dataclass(frozen=True)
+class StefanFront:
+    """The resolved ``stefan`` section: a run from the similarity profile at t0 with interface strength rho0."""
+
+    rho0: float
+    lam: float
+    eta: float
+    t0: float
+
+    def position(self, t):
+        """The exact front 2 lambda sqrt(eta (t0 + t)) at run time t."""
+        return 2.0 * self.lam * np.sqrt(self.eta * (self.t0 + t))
+
+
+def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> np.ndarray:
+    """State row of the similarity profile at time t0, pulled back to the boundary frame."""
+    p0 = 2.0 * lam * math.sqrt(eta * t0)
+    s = grid.nodes / (2.0 * math.sqrt(eta * t0))
+    # erfc(lam + s) / erfc(lam), written with erfcx so that neither factor underflows
+    ratio = erfcx(lam + s) / erfcx(lam) * np.exp(-s * (2.0 * lam + s))
+    return np.concatenate((v_inf * (1.0 - ratio), np.zeros(grid.M), [p0]))
+
+
+def build_stefan(d: dict, eta_default: float, grid: Grid, ambient: AmbientGrid, T: float, warnings: list):
+    """(front, initial state row) of the ``stefan`` section, which must have a similarity front whose
+    boundary frame stays in the noise window up to T; warns when the boundary layer spans too few cells."""
+    defaults = {"rho0": 1.0, "v_inf": 0.5, "eta": eta_default, "t0": 0.25}
+    _mapping(d, "stefan", defaults)
+    rho0, v_inf, eta, t0 = (_as_float(d.get(k, v), f"stefan.{k}") for k, v in defaults.items())
+    if not eta > 0:
+        raise ConfigError(f"stefan.eta must be positive, got {eta}")
+    if not t0 > 0:
+        raise ConfigError(f"stefan.t0 must be positive, got {t0}")
+    # the similarity front exists for Stefan numbers in (0, 1); rho0 = 0 is the stationary front
+    stefan_number = rho0 * v_inf / eta
+    if rho0 != 0.0 and not 0.0 < stefan_number < 1.0:
+        raise ConfigError(
+            f"stefan.rho0 * stefan.v_inf / stefan.eta = {stefan_number} must lie in (0, 1)"
+        )
     lam = stefan_front_coefficient(rho0, v_inf, eta)
+    front = StefanFront(rho0, lam, eta, t0)
     # the front moves monotonically, so it stays in the window if both ends do
-    ends = 2.0 * lam * np.sqrt(eta * np.array([t0, t0 + T]))
+    ends = front.position(np.array([0.0, T]))
     if not all(ambient.covers(p, grid.L) for p in ends):
         raise ConfigError(
             f"the similarity front moves from {ends[0]:.6g} to {ends[1]:.6g}, and the boundary frame of "
@@ -320,11 +343,15 @@ def _check_stefan_front(raw: dict, eta_default: float, grid: Grid, ambient: Ambi
             f"h = {grid.h:.3g}, fewer than {_STEFAN_MIN_LAYER_CELLS}; the front error grows as the layer "
             "narrows: raise grid.M or lower stefan.rho0 * stefan.v_inf / stefan.eta"
         )
+    return front, _stefan_initial_state(grid, lam, v_inf, eta, t0)
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration plus the raw mapping it came from."""
+    """Fully resolved configuration plus the raw mapping it came from.
+
+    ``model``, ``operator``, ``initial`` and ``solve`` are what the mode steps.
+    """
 
     raw: dict
     mode: str
@@ -343,6 +370,7 @@ class ExperimentConfig:
     lemma_samples: int = 200
     jobs: int = 1
     warnings: list = field(default_factory=list)
+    stefan: Optional[StefanFront] = None
 
 
 def resolve(raw: dict) -> ExperimentConfig:
@@ -356,10 +384,13 @@ def resolve(raw: dict) -> ExperimentConfig:
     initial = build_initial_state(raw.get("initial", {"kind": "zero"}), grid)
     with _invalid("ambient"):
         ambient = build_ambient(raw.get("ambient", {}), grid, float(initial[-1]))
+    model_d = raw.get("model", {})
     with _invalid("model"):
-        model = build_coefficients(raw.get("model", {}), ambient)
-    operator = SpectralOperator(grid, model.eta_plus, model.eta_minus)
+        model = build_coefficients(model_d, ambient)
+        eta = [_as_float(model_d.get(k, 1.0), f"model.{k}") for k in ("eta_plus", "eta_minus")]
+        operator = SpectralOperator(grid, *eta)
 
+    # an infinite radius is no radius, and an infinite cutoff no cutoff
     sd = _mapping(_require(raw, "solve", "config"), "solve", _SOLVE_KEYS)
     trunc_r = sd.get("truncation_r")
     with _invalid("solve section"):
@@ -367,8 +398,8 @@ def resolve(raw: dict) -> ExperimentConfig:
             dt=_as_float(_require(sd, "dt", "solve"), "solve.dt"),
             T=_as_float(_require(sd, "T", "solve"), "solve.T"),
             n=INF,
-            truncation=None if trunc_r is None else TruncationSpec(_as_float(trunc_r, "solve.truncation_r")),
-            explosion_radius=_as_float(sd.get("R_max", 1e6), "solve.R_max"),
+            truncation=None if trunc_r is None else TruncationSpec(_as_float(trunc_r, "solve.truncation_r", False)),
+            explosion_radius=_as_float(sd.get("R_max", 1e6), "solve.R_max", False),
             record_every=_as_int(sd.get("record_every", 1), "solve.record_every"),
         )
 
@@ -379,18 +410,24 @@ def resolve(raw: dict) -> ExperimentConfig:
                 f"family member n={n} has unresolved window: 1/n = {1 / n} < 2h = {2 * grid.h}"
             )
 
-    warnings = []
+    warnings, stefan = [], None
     if mode == "stefan-oracle":
-        _check_stefan_front(raw, model.eta_plus, grid, ambient, solve_cfg.T, warnings)
+        stefan, initial = build_stefan(
+            raw.get("stefan", {}), operator.eta_plus, grid, ambient, solve_cfg.T, warnings
+        )
+        # the classical melting run: zero reaction and noise, linear interface map, one diffusivity
+        mu, sigma = coef.mu_zero(), coef.sigma_zero()
+        model = coef.CoefficientSet(mu, mu, sigma, sigma, *coef.rho_linear(stefan.rho0), model.kernel)
+        operator = SpectralOperator(grid, stefan.eta, stefan.eta)
+        solve_cfg = replace(solve_cfg, truncation=None)
     if mode == "converge":
         finite = [n for n in family if n != INF]
         if len(finite) < 3 or INF not in family:
             raise ConfigError("converge mode needs at least 3 finite n values and inf")
-        assumption5 = model.rho_bounded and model.sigma_affine_flag and model.mu_bounded_slopes
-        if solve_cfg.truncation is None and not assumption5:
+        if solve_cfg.truncation is None and not model.bounded:
             warnings.append(
-                "rate assertion refused: neither truncation nor globally bounded "
-                "coefficient flags are set; slope is recorded but asserts nothing"
+                "rate assertion refused: the run is neither truncated nor in the bounded "
+                "regime of the coefficients; slope is recorded but asserts nothing"
             )
 
     return ExperimentConfig(
@@ -411,6 +448,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         lemma_samples=_as_int(raw.get("lemma_samples", 200), "lemma_samples", minimum=0),
         jobs=_as_int(raw.get("jobs", 1), "jobs", minimum=1),
         warnings=warnings,
+        stefan=stefan,
     )
 
 

@@ -25,7 +25,7 @@ from ..coefficients import (
 )
 from ..errors import WindowUnresolved
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm, state_norm
-from ..noise import AmbientGrid, NoiseIncrement, NoiseStream, color_at
+from ..noise import AmbientGrid, NoiseStream, color_at
 from ..operators import K_A, SpectralOperator, apply_A, semigroup
 from ..solver import SolveConfig, step
 from .sampling import rough_state, smooth_phase, smooth_state
@@ -193,11 +193,8 @@ def check_coloring_linear(rng, model: CoefficientSet, ambient: AmbientGrid, samp
         dW2 = rng.standard_normal(ambient.J)
         a, b = rng.uniform(-2, 2, 2)
         x = float(rng.uniform(ambient.x_lo, ambient.x_hi))
-        i1 = NoiseIncrement(dW1, 0, 1.0)
-        i2 = NoiseIncrement(dW2, 0, 1.0)
-        i3 = NoiseIncrement(a * dW1 + b * dW2, 0, 1.0)
-        lhs = color_at(model.kernel, ambient, i3, x)
-        rhs = a * color_at(model.kernel, ambient, i1, x) + b * color_at(model.kernel, ambient, i2, x)
+        lhs = color_at(model.kernel, ambient, a * dW1 + b * dW2, x)
+        rhs = a * color_at(model.kernel, ambient, dW1, x) + b * color_at(model.kernel, ambient, dW2, x)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
     return _result("coloring_linear", worst, 1e-12)
 
@@ -239,7 +236,8 @@ def _diffusion_hs_scale(c: CoefficientSet, g: Grid, X: np.ndarray, ambient: Ambi
     return math.sqrt(g.h * (float(np.dot(s1, s1)) + float(np.dot(s2, s2))))
 
 
-def check_equilip(rng, model, op, grid, samples, family):
+def check_equilip(rng, model, op, samples, family):
+    grid = op.grid
     ns = _resolvable(grid, family)
     if not ns:
         return LemmaResult("psi_uniform_lipschitz", FAIL, math.inf, 0.0, "no resolvable n")
@@ -294,7 +292,7 @@ def check_truncation_support(rng, model, op, ambient, samples, family):
     for i in range(min(samples, 40)):
         X = smooth_state(rng, grid, decay=2.0)
         s = state_norm(grid, X, "H2")
-        inc = stream.increment(i, dt, ambient)
+        dW = stream.increment(i, dt, ambient)
         plain = SolveConfig(dt=dt, T=dt, n=ns[i % len(ns)])
         cut = SolveConfig(dt=dt, T=dt, n=plain.n, truncation=spec)
         outside = (spec.r + 1.0) / s * 1.5 if s > 0 else None
@@ -302,13 +300,13 @@ def check_truncation_support(rng, model, op, ambient, samples, family):
             # scale the phases only so the boundary stays inside the window
             Xo = np.append(outside * X[:-1], 0.9 * math.tanh(X[-1]))
             if state_norm(grid, Xo, "H2") ** 2 >= (spec.r + 1.0) ** 2:
-                Y = step(op, model, cut, Xo, inc, ambient)
+                Y = step(op, model, cut, Xo, dW, ambient)
                 worst = max(worst, np.max(np.abs(Y - semigroup(op, dt, Xo))))
         inside = spec.r / s * 0.5 if s > 0 else None
         if inside:
             Xi = inside * X
-            Y = step(op, model, cut, Xi, inc, ambient)
-            worst = max(worst, np.max(np.abs(Y - step(op, model, plain, Xi, inc, ambient))))
+            Y = step(op, model, cut, Xi, dW, ambient)
+            worst = max(worst, np.max(np.abs(Y - step(op, model, plain, Xi, dW, ambient))))
     return _result("truncation_support", worst, 0.0)
 
 
@@ -318,7 +316,7 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
     The bound assumes the bounded regime (bounded rho, affine sigma, mu with
     bounded slopes); outside it the check is skipped, not passed.
     """
-    if not (model.rho_bounded and model.sigma_affine_flag and model.mu_bounded_slopes):
+    if not model.bounded:
         return LemmaResult("linear_growth", SKIP, 0.0, 0.0, "model not in the bounded regime")
     ns = _resolvable(grid, family) + [INF]
     h = grid.h
@@ -377,13 +375,13 @@ def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
 def run_suite(
     model: CoefficientSet,
     op: SpectralOperator,
-    grid: Grid,
     ambient: AmbientGrid,
     family,
     samples: int = 200,
     seed: int = 0,
 ):
-    """Run every property check and return the result rows."""
+    """Run every property check on the grid of ``op`` and return the result rows."""
+    grid = op.grid
     if samples == 0:
         return []
     rng = np.random.default_rng(seed)
@@ -410,7 +408,7 @@ def run_suite(
     guard(lambda: check_coloring_linear(rng, model, ambient, samples), "coloring_linear")
     guard(lambda: check_brownian_variance(rng, model, ambient), "brownian_variance_linear")
     guard(lambda: check_coloring_variance(rng, model, ambient), "coloring_variance")
-    guard(lambda: check_equilip(rng, model, op, grid, min(samples, 100), family), "psi_uniform_lipschitz")
+    guard(lambda: check_equilip(rng, model, op, min(samples, 100), family), "psi_uniform_lipschitz")
     guard(lambda: check_window_bound(rng, grid, samples, family), "window_arg_bound")
     guard(lambda: check_truncation_support(rng, model, op, ambient, samples, family), "truncation_support")
     guard(lambda: check_linear_growth(rng, model, grid, ambient, samples, family), "linear_growth")

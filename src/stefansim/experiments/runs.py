@@ -19,16 +19,14 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List
 
 import numpy as np
-from scipy.special import erfcx
 
 from ..coefficients import INF
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
-from ..operators import SpectralOperator
 from ..solver import Trajectory, solve
 from ..transform import F_transform
 from . import lemma_suite
-from .config import ExperimentConfig, build_coefficients, resolve, stefan_front_coefficient, stefan_params
+from .config import ExperimentConfig, resolve
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -141,10 +139,7 @@ def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
 
 def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
     stream = NoiseStream(seed=seed)
-    rows = [
-        stream.increment(k, cfg.solve.dt, cfg.ambient).dW
-        for k in range(cfg.solve.num_steps)
-    ]
+    rows = [stream.increment(k, cfg.solve.dt, cfg.ambient) for k in range(cfg.solve.num_steps)]
     np.asarray(rows, dtype=np.float64).tofile(path)
 
 
@@ -294,44 +289,22 @@ def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:
 # Classical one-phase front oracle
 
 
-def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> np.ndarray:
-    """State row of the similarity profile at time t0, pulled back to the boundary frame."""
-    p0 = 2.0 * lam * math.sqrt(eta * t0)
-    s = grid.nodes / (2.0 * math.sqrt(eta * t0))
-    # erfc(lam + s) / erfc(lam), written with erfcx so that neither factor underflows
-    ratio = erfcx(lam + s) / erfcx(lam) * np.exp(-s * (2.0 * lam + s))
-    return np.concatenate((v_inf * (1.0 - ratio), np.zeros(grid.M), [p0]))
-
-
 def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
     """Deterministic front-tracking run against the similarity solution.
 
-    The model section is ignored except for eta_plus and the kernel; the run
-    itself uses zero reaction, zero noise and the linear interface map with
-    strength rho0, which is the classical melting configuration.
+    ``cfg`` is resolved in stefan-oracle mode, so its model, operator,
+    initial row and solve settings are the classical melting run of its
+    ``stefan`` section (see ``config.resolve``); this solves it and compares
+    the front with ``cfg.stefan``.
     """
-    rho0, v_inf, eta, t0 = stefan_params(cfg.raw, cfg.model.eta_plus)
-    lam = stefan_front_coefficient(rho0, v_inf, eta)
-    x0 = _stefan_initial_state(cfg.grid, lam, v_inf, eta, t0)
-
-    model = build_coefficients(
-        {
-            "eta_plus": eta,
-            "eta_minus": eta,
-            "rho": {"name": "linear", "rho0": rho0},
-            "kernel": cfg.raw.get("model", {}).get("kernel", {}),
-        },
-        cfg.ambient,
-    )
-    op = SpectralOperator(cfg.grid, eta, eta)
-    scfg = replace(cfg.solve, n=INF, truncation=None)
-    traj = solve(op, model, scfg, x0, NoiseStream(seed=0), cfg.ambient)
+    front = cfg.stefan
+    traj = solve(cfg.operator, cfg.model, cfg.solve, cfg.initial, NoiseStream(seed=0), cfg.ambient)
 
     times = traj.times
     path = traj.boundary_path
-    exact = 2.0 * lam * np.sqrt(eta * (t0 + times))
+    exact = front.position(times)
     late = times >= 0.5 * cfg.solve.T
-    if rho0 == 0.0:
+    if front.rho0 == 0.0:
         rel = np.abs(path - path[0])
         max_rel = float(np.max(rel))
     else:
@@ -339,7 +312,7 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
         max_rel = float(np.max(rel[late]))
 
     result = {
-        "lambda": lam,
+        "lambda": front.lam,
         "p0": float(path[0]),
         "p_final": float(path[-1]),
         "p_exact_final": float(exact[-1]),
@@ -357,13 +330,7 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
 
 def run_lemma_suite(cfg: ExperimentConfig) -> List[lemma_suite.LemmaResult]:
     results = lemma_suite.run_suite(
-        cfg.model,
-        cfg.operator,
-        cfg.grid,
-        cfg.ambient,
-        cfg.family,
-        samples=cfg.lemma_samples,
-        seed=0,
+        cfg.model, cfg.operator, cfg.ambient, cfg.family, samples=cfg.lemma_samples, seed=0
     )
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(

@@ -44,8 +44,8 @@ class Grid:
     M: int
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"domain length must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.L}")
         if self.M < 4:
             raise ValueError(f"need at least 4 interior points, got {self.M}")
 

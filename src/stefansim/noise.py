@@ -35,7 +35,6 @@ __all__ = [
     "AmbientGrid",
     "Kernel",
     "gaussian_kernel",
-    "NoiseIncrement",
     "NoiseStream",
     "check_window",
     "color_at",
@@ -54,8 +53,8 @@ class AmbientGrid:
     def __post_init__(self):
         if self.J < 2:
             raise ValueError("need at least two ambient nodes")
-        if not self.x_hi > self.x_lo:
-            raise ValueError("empty ambient window")
+        if not -math.inf < self.x_lo < self.x_hi < math.inf:
+            raise ValueError(f"need a finite, nonempty ambient window, got [{self.x_lo}, {self.x_hi}]")
 
     @property
     def dy(self) -> float:
@@ -76,8 +75,8 @@ class AmbientGrid:
 class Kernel:
     """Coloring kernel zeta with its L2-in-y profile on a reference grid.
 
-    ``zeta`` must accept broadcasting arrays (x, y).  The profile is used for
-    construction-time validation and as the analytic-variance oracle in tests.
+    ``zeta`` must accept broadcasting arrays (x, y).  The profile is checked
+    for finiteness at construction; only that check and its test read it.
     ``scale`` is set only for the Gaussian kernel of that width, and lets
     ``color_field`` use the factorized form.
     """
@@ -108,21 +107,9 @@ def _gaussian(scale: float):
 
 def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
     """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), built on ``ambient``."""
-    if scale <= 0:
-        raise ValueError("kernel scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"kernel scale must be positive and finite, got {scale}")
     return replace(Kernel.build(_gaussian(scale), ambient), scale=scale)
-
-
-@dataclass(frozen=True)
-class NoiseIncrement:
-    dW: np.ndarray
-    step_index: int
-    dt: float
-
-    def __post_init__(self):
-        v = np.asarray(self.dW, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "dW", v)
 
 
 @dataclass(frozen=True)
@@ -137,20 +124,22 @@ class NoiseStream:
     seed: int
     trajectory_id: int = 0
 
-    def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> NoiseIncrement:
+    def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
+        """The read-only (J,) increment dW of step ``step_index``: iid N(0, dt/dy) at the ambient nodes."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trajectory_id, step_index))
         rng = np.random.default_rng(ss)
         dW = rng.normal(0.0, math.sqrt(dt / ambient.dy), ambient.J)
-        return NoiseIncrement(dW=dW, step_index=step_index, dt=dt)
+        dW.setflags(write=False)
+        return dW
 
 
-def color_at(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, x):
-    """Increment of the colored field at x: quadrature of zeta(x, .) against dW."""
+def color_at(kernel: Kernel, ambient: AmbientGrid, dW: np.ndarray, x):
+    """Increment of the colored field at x: quadrature of zeta(x, .) against the increment dW (J,)."""
     xs = np.asarray(x, dtype=float)
     weights = kernel.zeta(xs[..., None], ambient.nodes)
-    out = weights @ inc.dW * ambient.dy
+    out = weights @ dW * ambient.dy
     if out.ndim == 0:
         return float(out)
     return out
@@ -194,16 +183,16 @@ def check_window(ambient: AmbientGrid, p: float, L: float):
         )
 
 
-def color_field(kernel: Kernel, ambient: AmbientGrid, inc: NoiseIncrement, p: float, grid: Grid):
+def color_field(kernel: Kernel, ambient: AmbientGrid, dW: np.ndarray, p: float, grid: Grid):
     """Colored increments at p + x_i and p - x_i for the two phases, as rows of a (2, M) array."""
     check_window(ambient, p, grid.L)
     factors = None if kernel.scale is None else _gaussian_factors(kernel.scale, ambient, grid)
     if factors is None:
         xs = grid.nodes
-        return np.stack((color_at(kernel, ambient, inc, p + xs), color_at(kernel, ambient, inc, p - xs)))
+        return np.stack((color_at(kernel, ambient, dW, p + xs), color_at(kernel, ambient, dW, p - xs)))
     Z, rows, cols, centre = factors
     delta = p - centre
     a = delta / (kernel.scale * kernel.scale)
-    out = Z @ (np.exp(a * cols) * inc.dW)
+    out = Z @ (np.exp(a * cols) * dW)
     out *= ambient.dy * np.exp(-a * (rows + 0.5 * delta))
     return out.reshape(2, grid.M)

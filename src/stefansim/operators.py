@@ -39,6 +39,8 @@ def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralOperator:
+    """The operator A on ``grid`` with the diffusivities eta+ and eta- of the two phases."""
+
     grid: Grid
     eta_plus: float
     eta_minus: float
@@ -46,8 +48,9 @@ class SpectralOperator:
     eigenvalues_minus: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.eta_plus > 0 and self.eta_minus > 0):
-            raise ValueError("diffusivities must be positive")
+        if not (0 < self.eta_plus < math.inf and 0 < self.eta_minus < math.inf):
+            raise ValueError(f"diffusivities eta_plus = {self.eta_plus} and eta_minus = {self.eta_minus} "
+                             "must be positive and finite")
         lam = _dirichlet_eigenvalues(self.grid)
         object.__setattr__(self, "eigenvalues_plus", -self.eta_plus * lam - 1.0)
         object.__setattr__(self, "eigenvalues_minus", -self.eta_minus * lam - 1.0)

@@ -31,7 +31,7 @@ from . import coefficients
 from .coefficients import CoefficientSet, TruncationSpec, diffusion_rows, drift_rows, transport_direction
 from .errors import BoundaryLeftWindow, NonFiniteState
 from .grids import Grid, interface_weights, padded, padded_state_norm
-from .noise import AmbientGrid, NoiseIncrement, NoiseStream
+from .noise import AmbientGrid, NoiseStream
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
@@ -51,8 +51,8 @@ class SolveConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if not 0 < self.dt <= self.T:
-            raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        if not 0 < self.dt <= self.T < math.inf:
+            raise ValueError(f"need 0 < dt <= T < inf, got dt={self.dt}, T={self.T}")
         steps = self.T / self.dt
         if abs(steps - round(steps)) > _STEPS_RTOL * steps:
             raise ValueError(f"T = {self.T} is not a whole number of steps dt = {self.dt}")
@@ -124,11 +124,11 @@ class _Workspace:
         return np.append(self.Y, self.p)
 
 
-def _advance(op, c, cfg, ws, draw, k, ambient, factors, w):
-    """Step ``k`` of exponential Euler from the current state of the workspace ``ws``.
+def _advance(op, c, cfg, ws, draw, ambient, factors, w):
+    """One step of exponential Euler from the current state of the workspace ``ws``.
 
     The cutoff factor is evaluated once from the norm ``ws.nrm`` and applied
-    to drift and diffusion.  ``draw()`` returns the noise increment of the
+    to drift and diffusion.  ``draw()`` returns the noise increment dW of the
     step; it is not called when the diffusion coefficients vanish at the
     state.  The new state becomes the current state of ``ws``.  A norm that
     is not finite is followed by an entrywise check; a non-finite entry
@@ -160,7 +160,7 @@ def _advance(op, c, cfg, ws, draw, k, ambient, factors, w):
     nrm = padded_state_norm(U, p, h, "H2", transport_direction(U, h, ws.g), Y)
     # a finite norm is a sum of finite squares, so every entry is finite
     if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
-        raise NonFiniteState(f"non-finite state after step at index {k}")
+        raise NonFiniteState("non-finite state after a step")
     ws.i, ws.Y, ws.p, ws.nrm = 1 - i, Y, p, nrm
 
 
@@ -169,14 +169,14 @@ def step(
     c: CoefficientSet,
     cfg: SolveConfig,
     x: np.ndarray,
-    inc: NoiseIncrement,
+    dW: np.ndarray,
     ambient: AmbientGrid,
 ) -> np.ndarray:
-    """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, inc)."""
+    """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, dW)."""
     ws = _Workspace(op.grid, x)
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)
-    _advance(op, c, cfg, ws, lambda: inc, inc.step_index, ambient, factors, w)
+    _advance(op, c, cfg, ws, lambda: dW, ambient, factors, w)
     return ws.row
 
 
@@ -213,7 +213,7 @@ def solve(
         t_next = (k + 1) * cfg.dt
         draw = partial(stream.increment, k, cfg.dt, ambient)
         try:
-            _advance(op, c, cfg, ws, draw, k, ambient, factors, w)
+            _advance(op, c, cfg, ws, draw, ambient, factors, w)
         except NonFiniteState:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
             break

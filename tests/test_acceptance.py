@@ -14,29 +14,26 @@ import pytest
 
 from stefansim import (
     AmbientGrid,
-    CoefficientSet,
     Grid,
     NoiseStream,
     SolveConfig,
     SpectralOperator,
     TruncationSpec,
     exit_times,
-    gaussian_kernel,
     solve,
     state_norm,
 )
 from stefansim.coefficients import (
     INF,
     mu_saturated,
-    mu_zero,
     psi_gap_bound,
     rho_tanh,
-    rho_zero,
     sigma_affine,
-    sigma_zero,
 )
 from stefansim.experiments import resolve, run_converge, run_lemma_suite, run_stefan_oracle
 from stefansim.experiments.sampling import rough_state
+
+from conftest import make_model
 
 
 REPORT_LINES = []
@@ -49,24 +46,6 @@ def _report(num, ok, detail):
     return ok
 
 
-def _model(ambient, mu=None, sigma=None, rho=None, flags=(False, False, False)):
-    r, lip = rho if rho is not None else rho_zero()
-    return CoefficientSet(
-        eta_plus=1.0,
-        eta_minus=1.0,
-        mu_plus=mu if mu is not None else mu_zero(),
-        mu_minus=mu if mu is not None else mu_zero(),
-        sigma_plus=sigma if sigma is not None else sigma_zero(),
-        sigma_minus=sigma if sigma is not None else sigma_zero(),
-        rho=r,
-        rho_lipschitz=lip,
-        kernel=gaussian_kernel(0.5, ambient),
-        rho_bounded=flags[0],
-        sigma_affine_flag=flags[1],
-        mu_bounded_slopes=flags[2],
-    )
-
-
 def _sine_state(grid, amplitude):
     """The state row (amplitude sin(pi x), 0, 0)."""
     return np.concatenate((amplitude * np.sin(np.pi * grid.nodes), np.zeros(grid.M + 1)))
@@ -76,7 +55,7 @@ def test_acceptance_1_heat_decay():
     t0 = time.time()
     grid = Grid(1.0, 127)
     ambient = AmbientGrid(-3.0, 3.0, 121)
-    model = _model(ambient)
+    model = make_model(ambient)
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-4, T=0.1, n=INF, record_every=1000)
     X0 = _sine_state(grid, 1.0)
@@ -116,7 +95,7 @@ def test_acceptance_3_interface_gap_rate():
     t0 = time.time()
     grid = Grid(1.0, 1023)
     ambient = AmbientGrid(-3.0, 3.0, 121)
-    model = _model(ambient, rho=rho_tanh(1.0))
+    model = make_model(ambient, rho=rho_tanh(1.0))
     rng = np.random.default_rng(2024)
     ns = (4, 16, 64)
     all_within = True
@@ -177,7 +156,7 @@ def test_acceptance_4_convergence_study(tmp_path):
 def test_acceptance_5_truncation_consistency():
     grid = Grid(1.0, 127)
     ambient = AmbientGrid(-3.0, 3.0, 121)
-    model = _model(
+    model = make_model(
         ambient,
         sigma=sigma_affine(additive=0.6, multiplicative=0.2),
         rho=rho_tanh(1.0),
@@ -218,12 +197,12 @@ def _global_regime_sups(seeds, grid, ambient, model, op):
 def test_acceptance_6_global_regime():
     grid = Grid(1.0, 63)
     ambient = AmbientGrid(-3.0, 3.0, 121)
-    model = _model(
+    model = make_model(
         ambient,
         mu=mu_saturated(0.5, 1.0),
         sigma=sigma_affine(additive=0.3, multiplicative=0.1),
         rho=rho_tanh(1.0),
-        flags=(True, True, True),
+        bounded=True,
     )
     op = SpectralOperator(grid, 1.0, 1.0)
     s1, e1 = _global_regime_sups(range(100), grid, ambient, model, op)
@@ -265,11 +244,11 @@ def test_acceptance_7_stefan_oracle(tmp_path):
 def test_acceptance_8_exit_time_sandwich():
     grid = Grid(1.0, 127)
     ambient = AmbientGrid(-3.0, 3.0, 121)
-    model = _model(
+    model = make_model(
         ambient,
         sigma=sigma_affine(additive=1.0, multiplicative=0.3),
         rho=rho_tanh(1.0),
-        flags=(True, True, True),
+        bounded=True,
     )
     op = SpectralOperator(grid, 1.0, 1.0)
     X0 = _sine_state(grid, 0.5)

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from stefansim import (
-    AmbientGrid,
-    CoefficientSet,
     Grid,
     NoiseStream,
     SolveConfig,
     SpectralOperator,
     TruncationSpec,
-    gaussian_kernel,
     h_r,
     semigroup,
     state_norm,
@@ -25,44 +22,18 @@ from stefansim.coefficients import (
     mu_linear,
     mu_quadratic,
     mu_saturated,
-    mu_zero,
     psi_gap_bound,
     reaction,
     rho_linear,
     rho_tanh,
-    rho_zero,
     sigma_affine,
-    sigma_zero,
     transport_direction,
 )
 from stefansim.errors import WindowUnresolved
 from stefansim.experiments.sampling import rough_state
 from stefansim.grids import diff1, interface_weights, padded, sq_norm
 
-
-@pytest.fixture
-def grid():
-    return Grid(1.0, 127)
-
-
-@pytest.fixture
-def ambient():
-    return AmbientGrid(-3.0, 3.0, 121)
-
-
-def make_model(ambient, mu=None, sigma=None, rho=None):
-    r, lip = rho if rho is not None else rho_zero()
-    return CoefficientSet(
-        eta_plus=1.0,
-        eta_minus=1.0,
-        mu_plus=mu if mu is not None else mu_zero(),
-        mu_minus=mu if mu is not None else mu_zero(),
-        sigma_plus=sigma if sigma is not None else sigma_zero(),
-        sigma_minus=sigma if sigma is not None else sigma_zero(),
-        rho=r,
-        rho_lipschitz=lip,
-        kernel=gaussian_kernel(0.5, ambient),
-    )
+from conftest import make_model
 
 
 def row(u1, u2, p):
@@ -91,18 +62,9 @@ def drift(model, grid, X, n):
 def test_boundary_condition_enforced(ambient):
     with pytest.raises(ValueError):
         make_model(ambient, sigma=lambda x, v: np.ones_like(np.asarray(v, dtype=float)))
+    # the diffusivities belong to the operator, which checks them
     with pytest.raises(ValueError):
-        CoefficientSet(
-            eta_plus=-1.0,
-            eta_minus=1.0,
-            mu_plus=mu_zero(),
-            mu_minus=mu_zero(),
-            sigma_plus=sigma_zero(),
-            sigma_minus=sigma_zero(),
-            rho=lambda a, b: 0.0,
-            rho_lipschitz=lambda r: 0.0,
-            kernel=gaussian_kernel(0.5, ambient),
-        )
+        SpectralOperator(Grid(1.0, 31), -1.0, 1.0)
 
 
 def test_N_mu_identity_and_slope(grid, ambient):
@@ -187,7 +149,7 @@ def test_diffusion_multiplicative_boundary_decay(grid, ambient):
     inc = NoiseStream(seed=1).increment(0, 0.01, ambient)
     out = diffusion_rows(model, padded(grid, X), X[-1], lambda: inc, ambient, grid)
     # first interior node value inherits the O(h) smallness of u1 there
-    assert abs(out[0, 0]) <= abs(f[0]) * np.max(np.abs(inc.dW)) * 10.0
+    assert abs(out[0, 0]) <= abs(f[0]) * np.max(np.abs(inc)) * 10.0
     assert np.max(np.abs(out[1])) == 0.0
 
 

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
+from stefansim import AmbientGrid, Grid, SolveConfig, SpectralOperator, gaussian_kernel
 from stefansim.errors import ConfigError
 from stefansim.experiments import (
     load_config,
@@ -147,6 +148,17 @@ def test_config_validation(tmp_path):
         (None, "q", 0, "q"),
         ("ambient", "x_lo", -3.0, "ambient.x_hi"),  # x_hi missing
         ("model", "rho", {"name": "tanh", "rho0": "big"}, "model.rho.rho0"),
+        ("model", "eta_plus", -1, "eta_plus"),  # the operator's diffusivity
+        # every number but solve.R_max and solve.truncation_r is finite, and none is NaN
+        ("ambient", "pad", math.inf, "ambient.pad"),
+        ("grid", "L", math.inf, "grid.L"),
+        ("solve", "T", math.inf, "solve.T"),
+        ("model", "kernel", {"scale": math.inf}, "model.kernel.scale"),
+        ("solve", "dt", math.nan, "solve.dt"),
+        ("grid", "L", "nan", "grid.L"),
+        # the window comes from x_lo/x_hi or from pad, the nodes from J or from dy
+        (None, "ambient", {"x_lo": -4.0, "x_hi": 4.0, "pad": 100.0}, "ambient.x_lo and ambient.pad"),
+        ("ambient", "J", 7, "ambient.J and ambient.dy"),
     ):
         raw = base_raw(tmp_path)
         (raw if section is None else raw[section])[key] = value
@@ -167,6 +179,26 @@ def test_config_validation(tmp_path):
     raw = dict(base_raw(tmp_path, mode="stefan-oracle"), stefan={"rho0": 0.0, "v_inf": 4.0})
     resolve(raw)  # rho0 = 0 is the stationary front at any v_inf
 
+    # an infinite explosion radius or cutoff radius means none: the run finishes
+    raw = base_raw(tmp_path)
+    raw["solve"].update(R_max=math.inf, truncation_r="inf")
+    cfg = resolve(raw)
+    assert cfg.solve.explosion_radius == cfg.solve.truncation.r == math.inf
+    assert not run_simulate(cfg)[0]["exited"]
+
+
+def test_constructors_reject_non_finite(ambient):
+    grid = Grid(1.0, 31)
+    for build in (
+        lambda: Grid(math.inf, 31),
+        lambda: AmbientGrid(-math.inf, 3.0, 121),
+        lambda: SpectralOperator(grid, 1.0, math.inf),
+        lambda: gaussian_kernel(math.inf, ambient),
+        lambda: SolveConfig(dt=1e-3, T=math.inf, n=math.inf),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
 
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "cfg.yaml"
@@ -185,7 +217,7 @@ def test_rate_refusal_warning(tmp_path):
         raw["model"] = dict(base_raw(tmp_path)["model"], **{phase: {"name": "quadratic"}})
         cfg = resolve(raw)
         assert any("refused" in w for w in cfg.warnings), phase
-        assert not cfg.model.mu_bounded_slopes
+        assert not cfg.model.bounded
 
 
 def _dir_hashes(d):
@@ -271,6 +303,22 @@ def test_simulate_profiles(tmp_path):
             assert v == 0.0
 
 
+def test_simulate_dump_noise(tmp_path):
+    # each _noise.bin holds the num_steps increments of its seed, (J,) float64 each, in
+    # step order; every family member of a seed reads the same noise
+    raw = dict(base_raw(tmp_path), dump_noise=True, family=[4, 8, "inf"])
+    cfg = resolve(raw)
+    run_simulate(cfg)
+    steps, J = cfg.solve.num_steps, cfg.ambient.J
+    for seed in cfg.seeds:
+        stream = NoiseStream(seed)
+        expected = np.array([stream.increment(k, cfg.solve.dt, cfg.ambient) for k in range(steps)])
+        dumps = [(tmp_path / f"traj_n{n}_seed{seed}_noise.bin").read_bytes() for n in ("4", "8", "inf")]
+        assert len(dumps[0]) == steps * J * 8
+        assert np.array_equal(np.frombuffer(dumps[0], dtype=np.float64).reshape(steps, J), expected)
+        assert dumps[1] == dumps[0] and dumps[2] == dumps[0]
+
+
 def test_simulate_trajectory_columns(tmp_path):
     run_simulate(resolve(base_raw(tmp_path)))
     with open(tmp_path / "traj_n8_seed0.csv") as fh:
@@ -316,8 +364,8 @@ def test_common_noise_across_family(tmp_path):
     s1 = NoiseStream(seed=0)
     s2 = NoiseStream(seed=0)
     for k in range(5):
-        a = s1.increment(k, cfg.solve.dt, cfg.ambient).dW
-        b = s2.increment(k, cfg.solve.dt, cfg.ambient).dW
+        a = s1.increment(k, cfg.solve.dt, cfg.ambient)
+        b = s2.increment(k, cfg.solve.dt, cfg.ambient)
         assert hashlib.sha256(a.tobytes()).digest() == hashlib.sha256(b.tobytes()).digest()
 
 

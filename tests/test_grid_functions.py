@@ -7,11 +7,6 @@ from stefansim import Grid, GridMismatch, WindowUnresolved, state_norm
 from stefansim.grids import diff1, diff2, interface_weights, padded, sq_norm
 
 
-@pytest.fixture
-def grid():
-    return Grid(1.0, 127)
-
-
 def pad(grid, fn):
     """fn at the interior nodes, with the zero values at x = 0 and x = L."""
     return np.pad(fn(grid.nodes), 1)

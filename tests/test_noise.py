@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stefansim import AmbientGrid, Grid, NoiseIncrement, NoiseStream, gaussian_kernel
+from stefansim import AmbientGrid, Grid, NoiseStream, gaussian_kernel
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.noise import _gaussian_factors, color_at, color_field
-
-
-@pytest.fixture
-def ambient():
-    return AmbientGrid(-3.0, 3.0, 121)
 
 
 @pytest.fixture
@@ -38,7 +33,7 @@ def test_increment_variance(ambient):
     dt = 0.01
     stream = NoiseStream(seed=42)
     draws = np.concatenate(
-        [stream.increment(k, dt, ambient).dW for k in range(1000)]
+        [stream.increment(k, dt, ambient) for k in range(1000)]
     )
     target = dt / ambient.dy
     se = target * math.sqrt(2.0 / draws.size)
@@ -49,14 +44,16 @@ def test_increment_replay_and_independence(ambient):
     stream = NoiseStream(seed=7, trajectory_id=3)
     a = stream.increment(5, 0.01, ambient)
     b = stream.increment(5, 0.01, ambient)
-    assert np.array_equal(a.dW, b.dW)
+    assert np.array_equal(a, b)
+    # the increment is its read-only array of the J ambient values
+    assert a.shape == (ambient.J,) and not a.flags.writeable
 
     # distinct step indices decorrelated
     n = 10**5 // ambient.J + 1
     xs, ys = [], []
     for k in range(n):
-        xs.append(stream.increment(2 * k, 0.01, ambient).dW)
-        ys.append(stream.increment(2 * k + 1, 0.01, ambient).dW)
+        xs.append(stream.increment(2 * k, 0.01, ambient))
+        ys.append(stream.increment(2 * k + 1, 0.01, ambient))
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     corr = np.corrcoef(x, y)[0, 1]
@@ -64,18 +61,15 @@ def test_increment_replay_and_independence(ambient):
 
 
 def test_color_zero(kernel, ambient):
-    inc = NoiseIncrement(np.zeros(ambient.J), 0, 0.01)
-    assert color_at(kernel, ambient, inc, 0.3) == 0.0
+    assert color_at(kernel, ambient, np.zeros(ambient.J), 0.3) == 0.0
 
 
 def test_color_linearity(kernel, ambient):
     rng = np.random.default_rng(0)
     w1 = rng.standard_normal(ambient.J)
     w2 = rng.standard_normal(ambient.J)
-    i1, i2 = NoiseIncrement(w1, 0, 1.0), NoiseIncrement(w2, 0, 1.0)
-    i3 = NoiseIncrement(2.0 * w1 - 0.5 * w2, 0, 1.0)
-    lhs = color_at(kernel, ambient, i3, 0.1)
-    rhs = 2.0 * color_at(kernel, ambient, i1, 0.1) - 0.5 * color_at(kernel, ambient, i2, 0.1)
+    lhs = color_at(kernel, ambient, 2.0 * w1 - 0.5 * w2, 0.1)
+    rhs = 2.0 * color_at(kernel, ambient, w1, 0.1) - 0.5 * color_at(kernel, ambient, w2, 0.1)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -121,8 +115,7 @@ def test_color_field_window_and_symmetry(kernel, ambient):
     xp, xm = color_field(kernel, ambient, inc, 0.0, grid)
     assert xp.shape == (grid.M,) and xm.shape == (grid.M,)
     # reversing the increment about 0 swaps the two phase fields (even kernel)
-    rev = NoiseIncrement(inc.dW[::-1], 0, 0.01)
-    xp2, xm2 = color_field(kernel, ambient, rev, 0.0, grid)
+    xp2, xm2 = color_field(kernel, ambient, inc[::-1], 0.0, grid)
     assert np.allclose(xp2, xm, atol=1e-12)
     assert np.allclose(xm2, xp, atol=1e-12)
 

@@ -10,11 +10,6 @@ from stefansim.operators import apply_factors, smoothing_check
 
 
 @pytest.fixture
-def grid():
-    return Grid(1.0, 127)
-
-
-@pytest.fixture
 def op(grid):
     return SpectralOperator(grid, 1.0, 1.0)
 

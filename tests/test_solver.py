@@ -8,7 +8,6 @@ import pytest
 
 from stefansim import (
     AmbientGrid,
-    CoefficientSet,
     Grid,
     GridMismatch,
     NoiseStream,
@@ -16,7 +15,6 @@ from stefansim import (
     SpectralOperator,
     TruncationSpec,
     exit_times,
-    gaussian_kernel,
     semigroup,
     solve,
     state_norm,
@@ -26,46 +24,19 @@ from stefansim.coefficients import (
     INF,
     drift_rows,
     mu_quadratic,
-    mu_zero,
     rho_linear,
     rho_tanh,
-    rho_zero,
     sigma_affine,
-    sigma_zero,
     transport_direction,
 )
 from stefansim.experiments import load_config, resolve
 from stefansim.grids import interface_weights, padded
-from stefansim.noise import NoiseIncrement
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.solver import ExitEvent, Trajectory
 
+from conftest import make_model
+
 REPORT_LINES = []
-
-
-@pytest.fixture
-def grid():
-    return Grid(1.0, 127)
-
-
-@pytest.fixture
-def ambient():
-    return AmbientGrid(-3.0, 3.0, 121)
-
-
-def make_model(ambient, mu=None, sigma=None, rho=None):
-    r, lip = rho if rho is not None else rho_zero()
-    return CoefficientSet(
-        eta_plus=1.0,
-        eta_minus=1.0,
-        mu_plus=mu if mu is not None else mu_zero(),
-        mu_minus=mu if mu is not None else mu_zero(),
-        sigma_plus=sigma if sigma is not None else sigma_zero(),
-        sigma_minus=sigma if sigma is not None else sigma_zero(),
-        rho=r,
-        rho_lipschitz=lip,
-        kernel=gaussian_kernel(0.5, ambient),
-    )
 
 
 def row(u1, u2, p):
@@ -125,7 +96,6 @@ def test_scalar_motion(grid, ambient):
 
 def test_step_richardson(grid, ambient):
     from stefansim.operators import apply_A
-    from stefansim.noise import NoiseIncrement
 
     # coarse grid so dt * |largest eigenvalue| stays small in the sweep
     cg = Grid(1.0, 31)
@@ -136,8 +106,7 @@ def test_step_richardson(grid, ambient):
     errs = []
     for dt in (1e-5, 5e-6):
         cfg = SolveConfig(dt=dt, T=1.0, n=INF)
-        inc = NoiseIncrement(np.zeros(ambient.J), 0, dt)
-        Y = step(op, model, cfg, X, inc, ambient)
+        Y = step(op, model, cfg, X, np.zeros(ambient.J), ambient)
         errs.append(state_norm(cg, (1.0 / dt) * (Y - X) - rhs, "L2"))
     assert errs[1] < 0.7 * errs[0]
 
@@ -308,7 +277,7 @@ def test_noise_free_step_draws_nothing(grid, ambient):
     # step neither draws nor colors one, and a NaN increment cannot leak in
     class NanStream:
         def increment(self, k, dt_, amb):
-            return NoiseIncrement(np.full(amb.J, np.nan), k, dt_)
+            return np.full(amb.J, np.nan)
 
     class CountingStream:
         def __init__(self, stream):
@@ -347,9 +316,7 @@ def test_mild_vs_strong_identity(grid, ambient):
 
     class ZeroStream:
         def increment(self, k, dt_, amb):
-            from stefansim.noise import NoiseIncrement
-
-            return NoiseIncrement(np.zeros(amb.J), k, dt_)
+            return np.zeros(amb.J)
 
     traj = solve(op, model, cfg, X0, ZeroStream(), ambient)
     K = cfg.num_steps
@@ -378,12 +345,12 @@ def test_strong_order_under_common_noise(ambient):
 
         def increment(self, k, dt_, amb):
             r = self.ratio
-            return NoiseIncrement(sum(self.fine[k * r : (k + 1) * r]), k, dt_)
+            return sum(self.fine[k * r : (k + 1) * r])
 
     sup_dist = np.zeros(halvings)
     for seed in seeds:
         stream = NoiseStream(seed=seed)
-        fine = [stream.increment(j, fine_dt, ambient).dW for j in range(round(T / fine_dt))]
+        fine = [stream.increment(j, fine_dt, ambient) for j in range(round(T / fine_dt))]
         paths = []
         for level in range(halvings + 1):
             cfg = SolveConfig(dt=dt / 2**level, T=T, n=8, record_every=2**level)

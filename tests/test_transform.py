@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stefansim import F_inverse, F_transform, Grid, iota
+from stefansim import F_inverse, F_transform, iota
 from stefansim.errors import GridMismatch, InterfaceNotZero
 from stefansim.grids import sq_norm
-
-
-@pytest.fixture
-def grid():
-    return Grid(1.0, 127)
 
 
 def smooth_pair(grid):
