@@ -152,12 +152,14 @@ def parse_family(spec) -> list:
     out = []
     for n in spec:
         if n in ("inf", ".inf", "infinity") or (isinstance(n, float) and math.isinf(n)):
-            out.append(INF)
+            n = INF
         else:
             n = _as_int(n, "family entry")
             if n <= 0:
                 raise ConfigError(f"family entries must be positive, got {n}")
-            out.append(n)
+        if n in out:
+            raise ConfigError(f"family entries must be distinct, got {n} more than once")
+        out.append(n)
     return out
 
 

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..grids import Grid
-from ..operators import _dirichlet_eigenvalues, _from_modes, _to_modes
+from ..operators import _dirichlet_eigenvalues, dst
 
 
 def smooth_phase(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> np.ndarray:
     """Random sine series with polynomially decaying coefficients (spatially smooth), shape (M,)."""
     k = np.arange(1, grid.M + 1)
     coeffs = amplitude * rng.standard_normal(grid.M) * k ** (-decay)
-    return _from_modes(coeffs, grid.M)
+    return dst(coeffs) / (2.0 * (grid.M + 1))
 
 
 def rough_h2_phase(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> np.ndarray:
@@ -23,8 +23,8 @@ def rough_h2_phase(rng: np.random.Generator, grid: Grid, sigma: float = 1.0) -> 
     where the 1/sqrt(n) interface-gap rate is sharp.
     """
     w = sigma * rng.standard_normal(grid.M)
-    f_hat = -_to_modes(w) / _dirichlet_eigenvalues(grid)
-    return _from_modes(f_hat, grid.M)
+    f_hat = -dst(w) / _dirichlet_eigenvalues(grid)
+    return dst(f_hat) / (2.0 * (grid.M + 1))
 
 
 def smooth_state(rng: np.random.Generator, grid: Grid, amplitude: float = 1.0, decay: float = 3.0) -> np.ndarray:

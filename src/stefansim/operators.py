@@ -4,6 +4,12 @@ The Dirichlet Laplacian on the uniform grid is diagonal in the discrete sine
 basis, so e^{tA} is applied exactly (up to round-off) by a DST, a pointwise
 exponential factor and an inverse DST.  No time-stepping error enters through
 the linear part.
+
+The unnormalized DST-I S of length M satisfies S^2 = 2(M+1) Id, so for rows
+Y = S Q Parseval gives sum Y^2 + sum (d2 Y)^2 = sum_k 2(M+1)(1 + lambda_k^2) Q_k^2,
+with lambda_k the eigenvalues of -Lap_D.  The semigroup step reads the L2 and
+second-difference part of the next state's H2 norm from its sine modes this
+way, with the weights ``SpectralOperator.h2_weights``.
 """
 
 from __future__ import annotations
@@ -12,10 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-# scipy.fftpack.dst calls the pocketfft transform directly; scipy.fft.dst goes
-# through the backend dispatch first, which doubles the cost of a small
-# transform.  Both return the same bits.
-from scipy.fftpack import dst
+# The pocketfft binding that scipy.fft.dst and scipy.fftpack.dst end in (and
+# that scipy.fftpack itself imports).  The module is private to scipy; called
+# directly it skips the per-call dtype coercion, copy detection, norm and
+# worker lookup and complex check, which cost more than a transform of a few
+# hundred points.  It returns the same bits.
+from scipy.fft._pocketfft import pypocketfft
 
 from .grids import Grid, diff2, padded, sq_norm, state_norm
 
@@ -30,6 +38,11 @@ __all__ = [
 ]
 
 
+def dst(x: np.ndarray, out=None) -> np.ndarray:
+    """Unnormalized DST-I of the float64 array x along its last axis, into ``out`` (which may be x) if given."""
+    return pypocketfft.dst(x, 1, (x.ndim - 1,), 0, out, 1)
+
+
 def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
     """Eigenvalues lambda_k^h = (4/h^2) sin^2(k pi h / (2L)) of -Lap_D, k=1..M."""
     h = grid.h
@@ -39,13 +52,18 @@ def _dirichlet_eigenvalues(grid: Grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralOperator:
-    """The operator A on ``grid`` with the diffusivities eta+ and eta- of the two phases."""
+    """The operator A on ``grid`` with the diffusivities eta+ and eta- of the two phases.
+
+    ``h2_weights`` (M,), read-only, are the per-mode weights 2(M+1)(1 + lambda_k^2)
+    of ``apply_factors``' modal sum.
+    """
 
     grid: Grid
     eta_plus: float
     eta_minus: float
     eigenvalues_plus: np.ndarray = field(init=False, repr=False)
     eigenvalues_minus: np.ndarray = field(init=False, repr=False)
+    h2_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0 < self.eta_plus < math.inf and 0 < self.eta_minus < math.inf):
@@ -56,14 +74,9 @@ class SpectralOperator:
         object.__setattr__(self, "eigenvalues_minus", -self.eta_minus * lam - 1.0)
         assert np.all(self.eigenvalues_plus < 0)
         assert np.all(self.eigenvalues_minus < 0)
-
-
-def _to_modes(values: np.ndarray) -> np.ndarray:
-    return dst(values, type=1)
-
-
-def _from_modes(coeffs: np.ndarray, M: int) -> np.ndarray:
-    return dst(coeffs, type=1) / (2.0 * (M + 1))
+        W = 2.0 * (self.grid.M + 1) * (1.0 + lam * lam)
+        W.setflags(write=False)
+        object.__setattr__(self, "h2_weights", W)
 
 
 def apply_A(op: SpectralOperator, x: np.ndarray) -> np.ndarray:
@@ -90,15 +103,20 @@ def semigroup_factors(op: SpectralOperator, t: float):
     return F, math.exp(-t)
 
 
-def apply_factors(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """e^{tA} on the phase rows Y (2, M): one DST of both rows, the factors F, a second DST.
+def apply_factors(F: np.ndarray, Y: np.ndarray, W: np.ndarray):
+    """e^{tA} on the phase rows Y (2, M) and the modal sum of the result.
 
-    Works in place: Y is overwritten, and the result, returned, may share its
-    memory.  The bits are those of ``dst(F * dst(Y, type=1), type=1)``.
+    One DST of both rows, the factors F, a second DST, all in place: Y is
+    overwritten with the new rows, which are returned together with
+    sum_k W_k Q_k^2 over the sine modes Q between the two transforms.  With
+    W = ``SpectralOperator.h2_weights`` that sum is sum Y'^2 + sum (d2 Y')^2
+    of the new rows Y' up to round-off.  The rows have the bits of
+    ``scipy.fft.dst(F * scipy.fft.dst(Y, type=1), type=1)``.
     """
-    Y = dst(Y, type=1, overwrite_x=True)
-    Y *= F
-    return dst(Y, type=1, overwrite_x=True)
+    Q = dst(Y, Y)
+    Q *= F
+    s = np.vdot(Q * W, Q)
+    return dst(Q, Q), s
 
 
 def semigroup(op: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
@@ -107,7 +125,7 @@ def semigroup(op: SpectralOperator, t: float, x: np.ndarray) -> np.ndarray:
     F, fp = semigroup_factors(op, t)
     if t == 0.0:
         return np.array(x, dtype=float)
-    return np.append(apply_factors(F, U[:, 1:-1]), fp * x[-1])
+    return np.append(apply_factors(F, U[:, 1:-1], op.h2_weights)[0], fp * x[-1])
 
 
 def K_A(op: SpectralOperator) -> float:

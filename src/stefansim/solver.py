@@ -100,10 +100,12 @@ class _Workspace:
     The state is held as padded phases ``states[i]`` (2, M+2), whose
     Dirichlet columns stay zero, for the differences; as their interior
     ``Y`` (2, M), contiguous, for the sums; and as the boundary ``p``.  ``g``
-    holds its transport direction and ``nrm`` its H2-state norm.  A step
-    assembles the drift in ``rows[1 - i]``, which the semigroup turns into
-    the next ``Y`` in place, writes the next padded phases into
-    ``states[1 - i]`` and flips i.  ``noise`` holds the noise rows of a step.
+    holds its transport direction and ``nrm`` its H2-state norm: from the
+    differences (``padded_state_norm``) for the starting row, from the sine
+    modes of each step after that.  A step assembles the drift in
+    ``rows[1 - i]``, which the semigroup turns into the next ``Y`` in place,
+    writes the next padded phases into ``states[1 - i]`` and flips i.
+    ``noise`` holds the noise rows of a step.
     """
 
     __slots__ = ("states", "rows", "noise", "g", "i", "Y", "p", "nrm")
@@ -116,7 +118,7 @@ class _Workspace:
         self.noise = np.empty((2, M))
         self.g = transport_direction(U, grid.h)
         self.i, self.Y, self.p = 0, self.rows[0], float(x[-1])
-        self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g, self.Y)
+        self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g)
 
     @property
     def row(self) -> np.ndarray:
@@ -130,9 +132,12 @@ def _advance(op, c, cfg, ws, draw, ambient, factors, w):
     The cutoff factor is evaluated once from the norm ``ws.nrm`` and applied
     to drift and diffusion.  ``draw()`` returns the noise increment dW of the
     step; it is not called when the diffusion coefficients vanish at the
-    state.  The new state becomes the current state of ``ws``.  A norm that
-    is not finite is followed by an entrywise check; a non-finite entry
-    raises NonFiniteState and leaves ``ws`` unfit for another step.
+    state.  The new state becomes the current state of ``ws``, and its H2
+    norm sqrt(h (s + g.g) + p^2) comes from the modal sum s that
+    ``apply_factors`` returns and the new transport direction g; no second
+    difference is taken.  A norm that is not finite is followed by an
+    entrywise check; a non-finite entry raises NonFiniteState and leaves
+    ``ws`` unfit for another step.
     """
     grid = op.grid
     i, Y, p = ws.i, ws.Y, ws.p
@@ -152,13 +157,15 @@ def _advance(op, c, cfg, ws, draw, ambient, factors, w):
     if noise is not None:
         drift += noise
     F, fp = factors
-    Y = apply_factors(F, drift)
+    Y, s = apply_factors(F, drift, op.h2_weights)
     U = ws.states[1 - i]
     U[:, 1:-1] = Y
     p = fp * (p + cfg.dt * drift_p)
     h = grid.h
-    nrm = padded_state_norm(U, p, h, "H2", transport_direction(U, h, ws.g), Y)
-    # a finite norm is a sum of finite squares, so every entry is finite
+    g = transport_direction(U, h, ws.g)
+    nrm = math.sqrt(h * (s + np.vdot(g, g)) + p * p)
+    # a finite modal sum bounds every sine mode below about 1e154, so the
+    # inverse DST has finite entries, and p is finite with the norm
     if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
         raise NonFiniteState("non-finite state after a step")
     ws.i, ws.Y, ws.p, ws.nrm = 1 - i, Y, p, nrm
@@ -172,7 +179,13 @@ def step(
     dW: np.ndarray,
     ambient: AmbientGrid,
 ) -> np.ndarray:
-    """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, dW)."""
+    """One exponential-Euler step of ``solve`` from the state row x; deterministic given (x, dW).
+
+    It reproduces the row ``solve`` steps to bit for bit, except possibly in
+    the cutoff band r^2 < |x|^2 < (r+1)^2 of a truncated run: there the
+    cutoff factor reads the norm of x from differences, where ``solve`` read
+    it from the previous step's sine modes, at most about 1e-15 apart.
+    """
     ws = _Workspace(op.grid, x)
     factors = semigroup_factors(op, cfg.dt)
     w = interface_weights(op.grid, cfg.n)

@@ -84,11 +84,19 @@ def test_parse_seeds_rejects_non_integers(x):
         parse_seeds([0, x])
 
 
-@given(st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), min_size=1))
+@given(st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), min_size=1, unique=True))
 def test_parse_family_property(family):
     out = parse_family(family)
     assert out == [math.inf if n == "inf" else n for n in family]
     assert all(isinstance(n, int) for n in out if n != math.inf)
+
+
+@given(st.lists(st.one_of(st.integers(1, 10**6), st.just("inf")), min_size=1, unique=True), st.data())
+def test_parse_family_rejects_repeats(family, data):
+    # a repeated member would be run twice and give the rate fit equal x values
+    repeat = data.draw(st.sampled_from(family))
+    with pytest.raises(ConfigError, match=f"got {repeat} more than once"):
+        parse_family(data.draw(st.permutations(family + [repeat])))
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()))
@@ -126,6 +134,11 @@ def test_config_validation(tmp_path):
     raw = base_raw(tmp_path)
     raw["family"] = [4.7, "inf"]
     with pytest.raises(ConfigError):
+        resolve(raw)
+
+    raw = base_raw(tmp_path, mode="converge")
+    raw["family"] = [4, 4, 4, "inf"]  # one distinct finite n, run three times
+    with pytest.raises(ConfigError, match="family"):
         resolve(raw)
 
     raw = base_raw(tmp_path)

@@ -6,7 +6,9 @@ import scipy.fft
 
 from stefansim import Grid, SpectralOperator, apply_A, semigroup, K_A, state_norm
 from stefansim.errors import GridMismatch
-from stefansim.operators import apply_factors, smoothing_check
+from stefansim.experiments.sampling import rough_state
+from stefansim.grids import diff2, padded
+from stefansim.operators import apply_factors, semigroup_factors, smoothing_check
 
 
 @pytest.fixture
@@ -139,12 +141,34 @@ def test_generator_consistency(op, grid):
     assert errs[1] < 0.7 * errs[0]
 
 
-@pytest.mark.parametrize("M", [127, 255])
+@pytest.mark.parametrize("M", [63, 127, 255, 1023])
 def test_apply_factors_matches_scipy_fft(M):
-    # operators takes its DST from the dispatch-free pocketfft entry; the
-    # golden outputs rest on it giving the bits of scipy.fft.dst
+    # operators calls pocketfft's DST-I binding directly; the golden outputs
+    # rest on it giving the bits of scipy.fft.dst, both on the contiguous rows
+    # the solver steps and on the strided interior view semigroup passes
     rng = np.random.default_rng(M)
     F = rng.random((2, M))
     Y = rng.standard_normal((2, M))
     ref = scipy.fft.dst(F * scipy.fft.dst(Y, type=1), type=1)
-    assert np.array_equal(apply_factors(F, Y), ref)
+    U = np.pad(Y, ((0, 0), (1, 1)))
+    for rows in (Y.copy(), U[:, 1:-1]):
+        out, _ = apply_factors(F, rows, np.ones(M))
+        assert np.array_equal(out, ref)
+        assert np.array_equal(rows, ref)  # in place
+    assert not U[:, [0, -1]].any()
+
+
+@pytest.mark.parametrize("M", [63, 127, 255])
+def test_apply_factors_modal_sum_is_h2_part(M):
+    # Parseval for DST-I: the modal sum apply_factors returns is the L2 plus
+    # second-difference part of sq_norm of the rows it returns
+    grid = Grid(2.0, M)
+    op = SpectralOperator(grid, 1.0, 0.5)
+    rng = np.random.default_rng(M)
+    for t in (0.0, 1e-3, 0.1):
+        F, _ = semigroup_factors(op, t)
+        for _ in range(5):
+            U = padded(grid, rough_state(rng, grid))
+            Y, s = apply_factors(F, U[:, 1:-1], op.h2_weights)
+            D = diff2(U, grid.h)
+            assert s == pytest.approx(np.vdot(Y, Y) + np.vdot(D, D), rel=1e-13, abs=0)

@@ -194,6 +194,19 @@ def test_step_is_solves_step(case):
             step(op, model, cfg, traj.values[-1], stream.increment(steps, cfg.dt, ambient), ambient)
 
 
+@pytest.mark.parametrize("M", [63, 127, 255])
+def test_step_norm_matches_state_norm(M):
+    # the step reads the H2 norm from the new state's sine modes; state_norm
+    # computes it from second differences: the two agree on a noisy path
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
+    c = resolve(dict(base, grid=dict(base["grid"], M=M), mode="simulate", family=[8, "inf"]))
+    cfg = replace(c.solve, n=8, record_every=1)
+    traj = solve(c.operator, c.model, cfg, c.initial, NoiseStream(seed=1), c.ambient)
+    assert not traj.exited and len(traj.norm_h2) == len(traj.values) == cfg.num_steps + 1
+    ref = [state_norm(c.grid, x, "H2") for x in traj.values]
+    np.testing.assert_allclose(traj.norm_h2, ref, rtol=1e-13, atol=0)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_nonfinite_exit_from_overflowing_norm():
     # v^2 reaction without cutoff or radius: the state at step 59 has finite
