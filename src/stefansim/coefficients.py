@@ -5,6 +5,11 @@ shift) and the multiplicative diffusion of a state held as padded phases
 U (2, M+2) and boundary p, together with the smooth cutoff ``h_r`` that the
 solver applies to both.  Sign conventions for the reflected left phase: its
 spatial argument is -x and its slope argument carries the reflection sign.
+
+The zero families ``mu_zero`` and ``sigma_zero`` are one shared function
+each, so a term whose two phases are both that function is known to vanish
+by identity and is not evaluated: the drift then has no reaction part, and
+the diffusion draws and colors nothing.
 """
 
 from __future__ import annotations
@@ -136,13 +141,20 @@ def drift_rows(
     """Drift N_mu + Psi_n * grad_bar + Id at the state (U, p): phase rows (2, M) and p component.
 
     The phase rows are written into ``out`` (2, M) if given.  ``interior`` is
-    U[:, 1:-1] as a contiguous array, if the caller holds one.
+    U[:, 1:-1] as a contiguous array, if the caller holds one.  When both
+    phases react by the shared ``mu_zero`` function, ``reaction`` is not
+    called and the rows are Psi_n * grad_bar + Id.
     """
     psi = interface_speed(c, U, w)
-    # N_mu + Psi_n * grad_bar has the bits of Psi_n * grad_bar + N_mu: one
-    # rounded addition per entry, which is commutative
-    out = reaction(c, U, g, grid, out)
-    out += psi * g
+    if c.mu_plus is _mu_zero and c.mu_minus is _mu_zero:
+        # drops the 0.0 + that the general path adds: the bits differ only
+        # in the sign of a zero where Psi_n * grad_bar and Id are both -0.0
+        out = np.multiply(g, psi, out=out)
+    else:
+        # N_mu + Psi_n * grad_bar has the bits of Psi_n * grad_bar + N_mu: one
+        # rounded addition per entry, which is commutative
+        out = reaction(c, U, g, grid, out)
+        out += psi * g
     out += U[:, 1:-1] if interior is None else interior
     return out, psi + p
 
@@ -160,9 +172,15 @@ def diffusion_rows(
 
     ``draw()`` returns the increment dW (J,).  Where every sigma entry is zero the
     product is zero whatever the increment: nothing is drawn or colored, only
-    the boundary is checked against the window, and the result is None.  The
-    rows are written into ``out`` (2, M) if given.
+    the boundary is checked against the window, and the result is None.  When
+    both phases are the shared ``sigma_zero`` function, sigma is not evaluated
+    either; any other sigma is evaluated at the state and its rows are checked
+    for an entry that is not zero.  The rows are written into ``out`` (2, M)
+    if given.
     """
+    if c.sigma_plus is _sigma_zero and c.sigma_minus is _sigma_zero:
+        check_window(ambient, p, grid.L)
+        return None
     if out is None:
         out = np.empty((2, grid.M))
     out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
@@ -200,8 +218,13 @@ def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
 # ---------------------------------------------------------------------------
 # Builtin coefficient families (selected by name from experiment configs)
 
+def _mu_zero(x, v, vp):
+    return np.zeros(np.shape(v))
+
+
 def mu_zero():
-    return lambda x, v, vp: np.zeros(np.shape(v))
+    """The zero reaction; every call returns the same function, which ``drift_rows`` skips."""
+    return _mu_zero
 
 
 def mu_linear(c_v: float = 0.0, c_vp: float = 0.0):
@@ -218,8 +241,13 @@ def mu_quadratic(coeff: float = 1.0):
     return lambda x, v, vp: coeff * v * v
 
 
+def _sigma_zero(x, v):
+    return np.zeros(np.shape(v))
+
+
 def sigma_zero():
-    return lambda x, v: np.zeros(np.shape(v))
+    """The zero noise amplitude; every call returns the same function, which ``diffusion_rows`` skips."""
+    return _sigma_zero
 
 
 def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: float = 1.0):

@@ -24,9 +24,11 @@ from stefansim.coefficients import (
     INF,
     drift_rows,
     mu_quadratic,
+    mu_zero,
     rho_linear,
     rho_tanh,
     sigma_affine,
+    sigma_zero,
     transport_direction,
 )
 from stefansim.experiments import load_config, resolve
@@ -194,6 +196,43 @@ def test_step_is_solves_step(case):
             step(op, model, cfg, traj.values[-1], stream.increment(steps, cfg.dt, ambient), ambient)
 
 
+def _zero_user(c):
+    """The shared zero families of c as user functions, which take the general evaluated path."""
+    mu, sigma = lambda x, v, vp: np.zeros(np.shape(v)), lambda x, v: np.zeros(np.shape(v))
+    swap = {name: mu for name in ("mu_plus", "mu_minus") if getattr(c, name) is mu_zero()}
+    swap.update({name: sigma for name in ("sigma_plus", "sigma_minus") if getattr(c, name) is sigma_zero()})
+    return replace(c, **swap), sorted(swap)
+
+
+@pytest.mark.parametrize("case", ["stefan", 8, INF])
+def test_shared_zeros_match_user_zeros(case):
+    # the shared zero reaction and noise are skipped by identity; the same run
+    # with user zero functions evaluates them: both give the same bits, the
+    # sign of every zero included
+    here = os.path.join(os.path.dirname(__file__), "..", "configs")
+    if case == "stefan":
+        base = load_config(os.path.join(here, "stefan.yaml")).raw
+        c = resolve(dict(base, solve=dict(base["solve"], T=0.02, record_every=1)))
+        cfg = c.solve
+    else:
+        base = load_config(os.path.join(here, "example.yaml")).raw
+        c = resolve(dict(base, mode="simulate", family=[8, "inf"]))
+        cfg = replace(c.solve, n=case)
+    user, swapped = _zero_user(c.model)
+    expected = ["mu_minus", "mu_plus", "sigma_minus", "sigma_plus"] if case == "stefan" else ["mu_minus", "mu_plus"]
+    assert swapped == expected
+    a = solve(c.operator, c.model, cfg, c.initial, NoiseStream(seed=0), c.ambient)
+    b = solve(c.operator, user, cfg, c.initial, NoiseStream(seed=0), c.ambient)
+    assert not a.exited and not b.exited
+    for x, y in ((a.values, b.values), (a.norm_h2, b.norm_h2)):
+        assert np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+    if case == "stefan":
+        # the u2 row of the one-phase run is zero throughout: the signs of its
+        # zeros are what the general path's 0.0 + could change
+        assert not np.any(a.values[:, c.grid.M : 2 * c.grid.M])
+
+
 @pytest.mark.parametrize("M", [63, 127, 255])
 def test_step_norm_matches_state_norm(M):
     # the step reads the H2 norm from the new state's sine modes; state_norm
@@ -287,7 +326,14 @@ def test_boundary_leaving_window_ends_path(grid):
 
 def test_noise_free_step_draws_nothing(grid, ambient):
     # zero sigma: the product with the increment is zero whatever it is, so a
-    # step neither draws nor colors one, and a NaN increment cannot leak in
+    # step neither draws nor colors one, and a NaN increment cannot leak in.
+    # Both zero-sigma branches run: the shared sigma_zero, skipped by identity,
+    # and a user zero that vanishes only at the state it is evaluated on
+    for sigma in (sigma_zero(), lambda x, v: np.zeros(np.shape(v))):
+        _check_noise_free_draws_nothing(grid, ambient, sigma)
+
+
+def _check_noise_free_draws_nothing(grid, ambient, sigma):
     class NanStream:
         def increment(self, k, dt_, amb):
             return np.full(amb.J, np.nan)
@@ -300,7 +346,7 @@ def test_noise_free_step_draws_nothing(grid, ambient):
             self.calls += 1
             return self.stream.increment(k, dt_, amb)
 
-    model = make_model(ambient, rho=rho_linear(0.5))
+    model = make_model(ambient, sigma=sigma, rho=rho_linear(0.5))
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-3, T=0.05, n=INF, record_every=5)
     ref = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=0), ambient)
