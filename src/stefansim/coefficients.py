@@ -170,13 +170,12 @@ def diffusion_rows(
 ) -> Optional[np.ndarray]:
     """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0.
 
-    ``draw()`` returns the increment dW (J,).  Where every sigma entry is zero the
-    product is zero whatever the increment: nothing is drawn or colored, only
-    the boundary is checked against the window, and the result is None.  When
-    both phases are the shared ``sigma_zero`` function, sigma is not evaluated
-    either; any other sigma is evaluated at the state and its rows are checked
-    for an entry that is not zero.  The rows are written into ``out`` (2, M)
-    if given.
+    ``draw()`` returns the increment dW (J,).  When both phases are the shared
+    ``sigma_zero`` function the product is zero whatever the increment: sigma
+    is not evaluated, nothing is drawn or colored, only the boundary is
+    checked against the window, and the result is None.  Any other sigma is
+    evaluated at the state and multiplies the colored increment.  The rows are
+    written into ``out`` (2, M) if given.
     """
     if c.sigma_plus is _sigma_zero and c.sigma_minus is _sigma_zero:
         check_window(ambient, p, grid.L)
@@ -185,9 +184,6 @@ def diffusion_rows(
         out = np.empty((2, grid.M))
     out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
     out[1] = c.sigma_minus(grid.reflected_nodes, U[1, 1:-1])
-    if not np.count_nonzero(out):
-        check_window(ambient, p, grid.L)
-        return None
     out *= color_field(c.kernel, ambient, draw(), p, grid)
     return out
 

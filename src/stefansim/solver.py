@@ -3,8 +3,9 @@
 One step applies the exact semigroup to (state + dt * drift + noise
 increment), which discretizes the semigroup integral equation term by term:
 unconditionally stable in the stiff linear part, first order in dt in the
-drift, Ito (left endpoint) in the noise.  A step whose diffusion coefficients
-vanish at the current state draws no noise increment.
+drift, Ito (left endpoint) in the noise.  A step of a model whose two sigma
+phases are the shared zero noise ``coefficients.sigma_zero()`` draws no
+noise increment.
 
 A state is the row u1 | u2 | p (see ``grids``).  ``_advance`` steps its
 padded phases (2, M+2) plus the scalar p through the array functions of
@@ -131,8 +132,8 @@ def _advance(op, c, cfg, ws, draw, ambient, factors, w):
 
     The cutoff factor is evaluated once from the norm ``ws.nrm`` and applied
     to drift and diffusion.  ``draw()`` returns the noise increment dW of the
-    step; it is not called when the diffusion coefficients vanish at the
-    state.  The new state becomes the current state of ``ws``, and its H2
+    step; it is not called when both sigma phases are the shared zero
+    noise.  The new state becomes the current state of ``ws``, and its H2
     norm sqrt(h (s + g.g) + p^2) comes from the modal sum s that
     ``apply_factors`` returns and the new transport direction g; no second
     difference is taken.  A norm that is not finite is followed by an

@@ -31,7 +31,7 @@ from stefansim.coefficients import (
     sigma_zero,
     transport_direction,
 )
-from stefansim.errors import BoundaryLeftWindow, WindowUnresolved
+from stefansim.errors import WindowUnresolved
 from stefansim.experiments.sampling import rough_state
 from stefansim.grids import diff1, interface_weights, padded, sq_norm
 
@@ -137,37 +137,20 @@ def test_drift_cutoff_support(grid, ambient):
     assert np.array_equal(a, b)
 
 
-def _user_zero_sigma(x, v):
-    return np.zeros(np.shape(v))
-
-
 def test_diffusion_zero_sigma(grid, ambient):
-    inc = NoiseStream(seed=0).increment(0, 0.01, ambient)
-    # zero sigma rows: the product is zero and None stands for it, for the
-    # shared sigma_zero (skipped by identity) and for a sigma that only
-    # vanishes at the state (evaluated, then found all zero)
-    for sigma in (sigma_zero(), _user_zero_sigma):
-        model = make_model(ambient, sigma=sigma)
-        assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, lambda: inc, ambient, grid) is None
+    model = make_model(ambient)
+
+    def draw():
+        raise AssertionError("a noise-free step drew an increment")
+
+    # zero sigma rows: the product is zero and None stands for it, without a draw
+    assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, draw, ambient, grid) is None
 
 
 def test_zero_families_are_shared():
     # one function per zero family, so drift_rows and diffusion_rows can skip it by identity
     assert mu_zero() is mu_zero()
     assert sigma_zero() is sigma_zero()
-
-
-def test_diffusion_shared_zero_sigma_checks_window_only(grid, ambient):
-    def draw():
-        raise AssertionError("a noise-free step drew an increment")
-
-    model = make_model(ambient, sigma=sigma_zero())
-    U = padded(grid, zero(grid))
-    assert diffusion_rows(model, U, 0.0, draw, ambient, grid) is None
-    p_out = ambient.x_hi
-    assert not ambient.covers(p_out, grid.L)
-    with pytest.raises(BoundaryLeftWindow):
-        diffusion_rows(model, U, p_out, draw, ambient, grid)
 
 
 def test_diffusion_multiplicative_boundary_decay(grid, ambient):

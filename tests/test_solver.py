@@ -326,14 +326,7 @@ def test_boundary_leaving_window_ends_path(grid):
 
 def test_noise_free_step_draws_nothing(grid, ambient):
     # zero sigma: the product with the increment is zero whatever it is, so a
-    # step neither draws nor colors one, and a NaN increment cannot leak in.
-    # Both zero-sigma branches run: the shared sigma_zero, skipped by identity,
-    # and a user zero that vanishes only at the state it is evaluated on
-    for sigma in (sigma_zero(), lambda x, v: np.zeros(np.shape(v))):
-        _check_noise_free_draws_nothing(grid, ambient, sigma)
-
-
-def _check_noise_free_draws_nothing(grid, ambient, sigma):
+    # step neither draws nor colors one, and a NaN increment cannot leak in
     class NanStream:
         def increment(self, k, dt_, amb):
             return np.full(amb.J, np.nan)
@@ -346,7 +339,7 @@ def _check_noise_free_draws_nothing(grid, ambient, sigma):
             self.calls += 1
             return self.stream.increment(k, dt_, amb)
 
-    model = make_model(ambient, sigma=sigma, rho=rho_linear(0.5))
+    model = make_model(ambient, rho=rho_linear(0.5))
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-3, T=0.05, n=INF, record_every=5)
     ref = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=0), ambient)
