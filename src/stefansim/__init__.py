@@ -5,7 +5,6 @@ from .errors import (
     BoundaryLeftWindow,
     ConfigError,
     GridMismatch,
-    InterfaceNotZero,
     NonFiniteState,
     StefansimError,
     WindowUnresolved,
@@ -15,6 +14,6 @@ from .operators import SpectralOperator, apply_A, semigroup, K_A
 from .noise import AmbientGrid, Kernel, NoiseStream, gaussian_kernel
 from .coefficients import CoefficientSet, TruncationSpec, h_r
 from .solver import ExitEvent, SolveConfig, Trajectory, exit_times, solve, step
-from .transform import F_inverse, F_transform, MovingProfile, iota
+from .transform import F_transform
 
 __version__ = "0.1.0"

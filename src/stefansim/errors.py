@@ -17,10 +17,6 @@ class BoundaryLeftWindow(StefansimError):
     """The boundary position left the ambient noise window."""
 
 
-class InterfaceNotZero(StefansimError):
-    """A moving-frame profile does not vanish at the interface."""
-
-
 class NonFiniteState(StefansimError):
     """A time step produced NaN or infinite values."""
 

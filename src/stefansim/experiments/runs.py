@@ -133,8 +133,7 @@ def _write_trajectory_csv(path: str, traj: Trajectory):
 def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
     p = float(x[-1])
     pts = np.concatenate((p - grid.nodes[::-1], [p], p + grid.nodes))
-    prof = F_transform(grid, x, pts)
-    _write_table(path, ["x", "v"], np.column_stack((prof.x, prof.values)))
+    _write_table(path, ["x", "v"], np.column_stack((pts, F_transform(grid, x, pts))))
 
 
 def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):

@@ -22,7 +22,7 @@ used instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -73,26 +73,24 @@ class AmbientGrid:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Coloring kernel zeta with its L2-in-y profile on a reference grid.
+    """Coloring kernel zeta.
 
-    ``zeta`` must accept broadcasting arrays (x, y).  The profile is checked
-    for finiteness at construction; only that check and its test read it.
-    ``scale`` is set only for the Gaussian kernel of that width, and lets
-    ``color_field`` use the factorized form.
+    ``zeta`` must accept broadcasting arrays (x, y).  ``scale`` is set only
+    for the Gaussian kernel of that width, and lets ``color_field`` use the
+    factorized form.
     """
 
     zeta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    l2_profile: np.ndarray = field(repr=False)
     scale: Optional[float] = None
 
     @classmethod
     def build(cls, zeta, ambient: AmbientGrid) -> "Kernel":
+        """The kernel zeta, checked for a finite L2-in-y norm at the middle node of ``ambient`` (J evaluations)."""
         ys = ambient.nodes
-        rows = zeta(ys[:, None], ys[None, :])
-        profile = np.sqrt(np.sum(rows * rows, axis=1) * ambient.dy)
-        if not np.all(np.isfinite(profile)):
-            raise ValueError("kernel L2 profile is not finite on the ambient window")
-        return cls(zeta=zeta, l2_profile=profile)
+        row = zeta(ys[ambient.J // 2], ys)
+        if not np.isfinite(np.sqrt(np.sum(row * row) * ambient.dy)):
+            raise ValueError("kernel L2 norm is not finite at the middle of the ambient window")
+        return cls(zeta=zeta)
 
 
 def _gaussian(scale: float):
@@ -107,8 +105,13 @@ def _gaussian(scale: float):
 
 def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
     """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), built on ``ambient``."""
-    if not 0 < scale < math.inf:
-        raise ValueError(f"kernel scale must be positive and finite, got {scale}")
+    # The squared kernel, whose integral is its squared L2 norm, peaks at
+    # 1/(2 pi s^2).  For s below about 3e-155 that peak overflows or 2 pi s^2
+    # underflows to 0; above about 5e153 2 pi s^2 overflows and the kernel
+    # rounds to 0 everywhere, which would silently switch the noise off.
+    two_pi_s2 = 2.0 * math.pi * scale * scale
+    if not (scale > 0 and 0 < two_pi_s2 < math.inf and 1.0 / two_pi_s2 < math.inf):
+        raise ValueError(f"kernel scale must be positive with 2 pi s^2 and 1/(2 pi s^2) finite floats, got {scale}")
     return replace(Kernel.build(_gaussian(scale), ambient), scale=scale)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 # hundred points.  It returns the same bits.
 from scipy.fft._pocketfft import pypocketfft
 
-from .grids import Grid, diff2, padded, sq_norm, state_norm
+from .grids import Grid, diff2, padded, sq_norm
 
 __all__ = [
     "SpectralOperator",
@@ -34,7 +34,6 @@ __all__ = [
     "semigroup_factors",
     "apply_factors",
     "K_A",
-    "smoothing_check",
 ]
 
 
@@ -145,22 +144,3 @@ def K_A(op: SpectralOperator) -> float:
         ratio_minus = h2 / (abs(op.eigenvalues_minus[k - 1]) * l2)
         best = max(best, ratio_plus, ratio_minus)
     return best
-
-
-_NORM_OF_ALPHA = {0.0: "L2", 0.5: "H1", 1.0: "H2"}
-
-
-def smoothing_check(op: SpectralOperator, t: float, x: np.ndarray, alpha: float, beta: float):
-    """Diagnostic pair (|S_t x|_alpha, t^(beta-alpha) |x|_beta) for alpha >= beta and the state row x.
-
-    The levels 0, 1/2 and 1 are realized as the discrete L2/H1/H2 norms.
-    """
-    if alpha < beta:
-        raise ValueError("need alpha >= beta")
-    if alpha not in _NORM_OF_ALPHA or beta not in _NORM_OF_ALPHA:
-        raise ValueError(f"levels must be in {sorted(_NORM_OF_ALPHA)}")
-    if t <= 0:
-        raise ValueError("need t > 0")
-    lhs = state_norm(op.grid, semigroup(op, t, x), _NORM_OF_ALPHA[alpha])
-    rhs = t ** (beta - alpha) * state_norm(op.grid, x, _NORM_OF_ALPHA[beta])
-    return lhs, rhs

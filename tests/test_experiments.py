@@ -167,6 +167,9 @@ def test_config_validation(tmp_path):
         ("grid", "L", math.inf, "grid.L"),
         ("solve", "T", math.inf, "solve.T"),
         ("model", "kernel", {"scale": math.inf}, "model.kernel.scale"),
+        # 2 pi s^2 underflows to 0, or overflows and the kernel is 0 everywhere
+        ("model", "kernel", {"scale": 1.0e-200}, "kernel scale"),
+        ("model", "kernel", {"scale": 1.0e200}, "kernel scale"),
         ("solve", "dt", math.nan, "solve.dt"),
         ("grid", "L", "nan", "grid.L"),
         # the window comes from x_lo/x_hi or from pad, the nodes from J or from dy

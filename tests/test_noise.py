@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from stefansim import AmbientGrid, Grid, NoiseStream, gaussian_kernel
+from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, gaussian_kernel
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.noise import _gaussian_factors, color_at, color_field
 
@@ -189,6 +190,28 @@ def test_factorized_coloring_window_edges(kernel, ambient):
 
 def test_kernel_profile_finite(ambient):
     k = gaussian_kernel(0.3, ambient)
-    assert np.all(np.isfinite(k.l2_profile))
+    ys = ambient.nodes
+    rows = k.zeta(ys[:, None], ys[None, :])
+    assert np.all(np.isfinite(np.sqrt(np.sum(rows * rows, axis=1) * ambient.dy)))
     with pytest.raises(ValueError):
         gaussian_kernel(0.0, ambient)
+    # scales whose kernel or squared kernel leaves the float range are refused
+    # up front, before any evaluation can warn of an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-200, 1e-160, 1e155, 1e200):
+            with pytest.raises(ValueError, match="kernel scale"):
+                gaussian_kernel(scale, ambient)
+
+
+def test_kernel_build_evaluates_one_row():
+    ambient = AmbientGrid(-3.0, 3.0, 2001)
+    evaluated = []
+
+    def zeta(x, y):
+        out = np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
+        evaluated.append(out.size)
+        return out
+
+    Kernel.build(zeta, ambient)
+    assert 0 < sum(evaluated) <= 4 * ambient.J

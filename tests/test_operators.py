@@ -8,7 +8,8 @@ from stefansim import Grid, SpectralOperator, apply_A, semigroup, K_A, state_nor
 from stefansim.errors import GridMismatch
 from stefansim.experiments.sampling import rough_state
 from stefansim.grids import diff2, padded
-from stefansim.operators import apply_factors, semigroup_factors, smoothing_check
+from stefansim.operators import apply_factors, semigroup_factors
+from oracles import smoothing_check
 
 
 @pytest.fixture
