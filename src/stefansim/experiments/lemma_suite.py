@@ -60,6 +60,16 @@ def _resolvable(grid: Grid, family):
     return [n for n in family if n != INF and 1.0 / n >= 2.0 * grid.h]
 
 
+def _no_finite_n(name):
+    """The row of a check over the finite family members when there is none to check."""
+    return LemmaResult(name, SKIP, 0.0, 0.0, "no finite n in the family with 1/n >= 2h")
+
+
+def _ratio(gap, bound):
+    """gap / bound, where a gap of exactly 0 is 0 and a nonzero gap over a zero bound is inf."""
+    return 0.0 if gap == 0 else gap / bound if bound != 0 else math.inf
+
+
 def _padded_phase(rng, grid, decay):
     """A smooth random phase with its zero values at x = 0 and x = L, shape (M+2,)."""
     return np.pad(smooth_phase(rng, grid, decay=decay), 1)
@@ -82,7 +92,7 @@ def check_intnorm(rng, grid, samples, family):
     """|integral over [0, 1/n]| <= (1/n)^2 |f|_H2 (1 + 10h), shrinking slack on refinement."""
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("intnorm_window", FAIL, math.inf, 0.0, "no resolvable n")
+        return _no_finite_n("intnorm_window")
 
     def worst_ratio(g: Grid):
         w = 0.0
@@ -240,7 +250,7 @@ def check_equilip(rng, model, op, samples, family):
     grid = op.grid
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("psi_uniform_lipschitz", FAIL, math.inf, 0.0, "no resolvable n")
+        return _no_finite_n("psi_uniform_lipschitz")
     ka = K_A(op)
     r = 2.0
     worst = 0.0
@@ -260,14 +270,14 @@ def check_equilip(rng, model, op, samples, family):
         for n in ns:
             w = interface_weights(grid, n)
             gap = abs(interface_speed(model, UX, w) - interface_speed(model, UY, w))
-            worst = max(worst, gap / (lip * dist))
+            worst = max(worst, _ratio(gap, lip * dist))
     return _result("psi_uniform_lipschitz", worst, 1.0)
 
 
 def check_window_bound(rng, grid, samples, family):
     ns = _resolvable(grid, family)
     if not ns:
-        return LemmaResult("window_arg_bound", FAIL, math.inf, 0.0, "no resolvable n")
+        return _no_finite_n("window_arg_bound")
     worst = 0.0
     for _ in range(samples):
         F = _padded_phase(rng, grid, 2.0)
@@ -360,9 +370,10 @@ def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
                 per_n[n].append(gap * math.sqrt(n))
         return {n: float(np.median(v)) for n, v in per_n.items()}
 
-    # generic H2-rough states: the rescaled gap is flat in n (factor-2 stability)
+    # generic H2-rough states: the rescaled gap is flat in n (factor-2 stability;
+    # gaps that are all zero, as under a zero interface map, are flat too)
     rough = medians(lambda: rough_state(rng, grid, sigma=1.0))
-    ok_rate = max(rough.values()) < 2.0 * min(rough.values())
+    ok_rate = max(rough.values()) <= 2.0 * min(rough.values())
     # genuinely smooth states: gap * sqrt(n) decays, nonincreasing up to O(h) noise
     smooth = medians(lambda: smooth_state(rng, grid, decay=3.0))
     ok_rate = ok_rate and all(smooth[b] <= smooth[a] * (1.0 + 10.0 * grid.h) for a, b in zip(ns, ns[1:]))

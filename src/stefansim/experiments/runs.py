@@ -5,7 +5,7 @@ Every (n, seed) cell is an independent job keyed by its identity, so output
 is deterministic regardless of worker scheduling.  Workers rebuild their
 objects from the raw config mapping because coefficient closures do not
 pickle; ``_map_cells`` runs the cells in order, or over ``jobs`` worker
-processes.
+processes, never more than there are cells.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ def _write_manifest(cfg: ExperimentConfig, extra: dict):
 
 
 def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
-    """``[cell(cfg.raw, *a) for a in args]``, computed over ``cfg.jobs`` worker processes if more than one."""
-    if cfg.jobs == 1:
+    """``[cell(cfg.raw, *a) for a in args]``, over ``min(cfg.jobs, len(args))`` worker processes if more than one."""
+    jobs = min(cfg.jobs, len(args))
+    if jobs <= 1:
         return [cell(cfg.raw, *a) for a in args]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(cell, cfg.raw, *a) for a in args]
         return [f.result() for f in futures]
 

@@ -98,7 +98,9 @@ def _gaussian(scale: float):
 
     def zeta(x, y):
         d = np.asarray(x) - np.asarray(y)
-        return c * np.exp(-d * d / (2.0 * scale * scale))
+        # below a scale of about 1e-153 d^2 / (2 s^2) overflows off the diagonal; exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            return c * np.exp(-d * d / (2.0 * scale * scale))
 
     return zeta
 

@@ -7,16 +7,13 @@ drift, Ito (left endpoint) in the noise.  A step of a model whose two sigma
 phases are the shared zero noise ``coefficients.sigma_zero()`` draws no
 noise increment.
 
-A state is the row u1 | u2 | p (see ``grids``).  ``_advance`` steps its
-padded phases (2, M+2) plus the scalar p through the array functions of
-``coefficients``, and applies the cutoff of a truncated run there.  It
-writes every array of the state's size that it can into the buffers of a
-``_Workspace``: ping-pong padded states, ping-pong rows that take the drift
-and then the next state's interior, and the transport and noise rows.
-``solve`` makes one workspace per path, loops the step from an initial row
-and records rows; ``step`` makes a one-off workspace, runs the same step once
-from a row and returns the next, which is how the lemma battery checks the
-cutoff that runs.
+A state is the row u1 | u2 | p (see ``grids``).  A ``_Path`` holds one
+trajectory: its step constants, its state as padded phases (2, M+2) plus the
+scalar p, and the buffers ``advance`` writes into, so a step allocates no
+array of the state's size.  ``advance`` steps the state through the array
+functions of ``coefficients`` and applies the cutoff of a truncated run.
+``solve`` loops it from an initial row and records rows; ``step`` runs it once
+from a row, which is how the lemma battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
@@ -95,30 +92,30 @@ class Trajectory:
         return self.values[:, -1].copy()
 
 
-class _Workspace:
-    """The current state of one path and the buffers it is stepped in, allocated once per path.
+class _Path:
+    """One trajectory: the constants of its step, its current state and the buffers it is stepped in.
 
-    The state is held as padded phases ``states[i]`` (2, M+2), whose
-    Dirichlet columns stay zero, for the differences; as their interior
-    ``Y`` (2, M), contiguous, for the sums; and as the boundary ``p``.  ``g``
-    holds its transport direction and ``nrm`` its H2-state norm: from the
-    differences (``padded_state_norm``) for the starting row, from the sine
-    modes of each step after that.  A step assembles the drift in
-    ``rows[1 - i]``, which the semigroup turns into the next ``Y`` in place,
-    writes the next padded phases into ``states[1 - i]`` and flips i.
-    ``noise`` holds the noise rows of a step.
+    The constants are the semigroup factors ``F``, ``fp`` of dt and the
+    interface weights ``w`` of n.  The state is held as padded phases ``U``
+    (2, M+2), whose Dirichlet columns stay zero, for the differences; as their
+    interior ``Y`` (2, M), contiguous, for the sums; and as the boundary
+    ``p``.  ``g`` holds its transport direction and ``nrm`` its H2-state norm,
+    from the differences for the starting row and from the sine modes after
+    each step.  ``Z`` is the spare row buffer and ``noise`` the noise rows.
     """
 
-    __slots__ = ("states", "rows", "noise", "g", "i", "Y", "p", "nrm")
+    __slots__ = ("op", "c", "cfg", "ambient", "F", "fp", "w", "U", "Y", "Z", "noise", "g", "p", "nrm")
 
-    def __init__(self, grid: Grid, x: np.ndarray):
-        M = grid.M
-        U = padded(grid, x)
-        self.states = (U, np.zeros((2, M + 2)))
-        self.rows = (np.ascontiguousarray(U[:, 1:-1]), np.empty((2, M)))
-        self.noise = np.empty((2, M))
+    def __init__(self, op: SpectralOperator, c: CoefficientSet, cfg: SolveConfig, ambient: AmbientGrid, x):
+        grid = op.grid
+        self.op, self.c, self.cfg, self.ambient = op, c, cfg, ambient
+        self.F, self.fp = semigroup_factors(op, cfg.dt)
+        self.w = interface_weights(grid, cfg.n)
+        self.U = U = padded(grid, x)
+        self.Y, self.Z = np.ascontiguousarray(U[:, 1:-1]), np.empty((2, grid.M))
+        self.noise = np.empty((2, grid.M))
         self.g = transport_direction(U, grid.h)
-        self.i, self.Y, self.p = 0, self.rows[0], float(x[-1])
+        self.p = float(x[-1])
         self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g)
 
     @property
@@ -126,50 +123,47 @@ class _Workspace:
         """The current state as a row u1 | u2 | p."""
         return np.append(self.Y, self.p)
 
+    def advance(self, draw):
+        """One step of exponential Euler; ``draw()`` returns the noise increment dW.
 
-def _advance(op, c, cfg, ws, draw, ambient, factors, w):
-    """One step of exponential Euler from the current state of the workspace ``ws``.
-
-    The cutoff factor is evaluated once from the norm ``ws.nrm`` and applied
-    to drift and diffusion.  ``draw()`` returns the noise increment dW of the
-    step; it is not called when both sigma phases are the shared zero
-    noise.  The new state becomes the current state of ``ws``, and its H2
-    norm sqrt(h (s + g.g) + p^2) comes from the modal sum s that
-    ``apply_factors`` returns and the new transport direction g; no second
-    difference is taken.  A norm that is not finite is followed by an
-    entrywise check; a non-finite entry raises NonFiniteState and leaves
-    ``ws`` unfit for another step.
-    """
-    grid = op.grid
-    i, Y, p = ws.i, ws.Y, ws.p
-    U = ws.states[i]
-    drift, drift_p = drift_rows(c, U, p, ws.g, w, grid, ws.rows[1 - i], Y)
-    noise = diffusion_rows(c, U, p, draw, ambient, grid, ws.noise)
-    if cfg.truncation is not None:
-        # looked up on the module so that a wrapper of coefficients.h_r sees the call
-        f = coefficients.h_r(cfg.truncation, ws.nrm**2)
-        if f != 1.0:
-            drift *= f
-            if noise is not None:
-                noise *= f
-            drift_p = f * drift_p
-    drift *= cfg.dt
-    drift += Y
-    if noise is not None:
-        drift += noise
-    F, fp = factors
-    Y, s = apply_factors(F, drift, op.h2_weights)
-    U = ws.states[1 - i]
-    U[:, 1:-1] = Y
-    p = fp * (p + cfg.dt * drift_p)
-    h = grid.h
-    g = transport_direction(U, h, ws.g)
-    nrm = math.sqrt(h * (s + np.vdot(g, g)) + p * p)
-    # a finite modal sum bounds every sine mode below about 1e154, so the
-    # inverse DST has finite entries, and p is finite with the norm
-    if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
-        raise NonFiniteState("non-finite state after a step")
-    ws.i, ws.Y, ws.p, ws.nrm = 1 - i, Y, p, nrm
+        The cutoff factor is evaluated once from ``nrm`` and scales drift and
+        diffusion.  ``draw`` is not called when both sigma phases are the
+        shared zero noise.  The semigroup turns the drift in ``Z`` into the
+        next ``Y`` in place, which is copied into ``U``: a
+        ``BoundaryLeftWindow`` is raised before that, and the old padded
+        state is dead once it has been read.  The new norm sqrt(h (s + g.g)
+        + p^2) takes the modal sum s from ``apply_factors``.  A norm that is
+        not finite is followed by an entrywise check; a non-finite entry
+        raises NonFiniteState and leaves the path unfit for another step.
+        """
+        op, c, cfg = self.op, self.c, self.cfg
+        grid = op.grid
+        U, Y, p = self.U, self.Y, self.p
+        drift, drift_p = drift_rows(c, U, p, self.g, self.w, grid, self.Z, Y)
+        noise = diffusion_rows(c, U, p, draw, self.ambient, grid, self.noise)
+        if cfg.truncation is not None:
+            # looked up on the module so that a wrapper of coefficients.h_r sees the call
+            f = coefficients.h_r(cfg.truncation, self.nrm**2)
+            if f != 1.0:
+                drift *= f
+                if noise is not None:
+                    noise *= f
+                drift_p = f * drift_p
+        drift *= cfg.dt
+        drift += Y
+        if noise is not None:
+            drift += noise
+        Y, s = apply_factors(self.F, drift, op.h2_weights)
+        U[:, 1:-1] = Y
+        p = self.fp * (p + cfg.dt * drift_p)
+        h = grid.h
+        g = transport_direction(U, h, self.g)
+        nrm = math.sqrt(h * (s + np.vdot(g, g)) + p * p)
+        # a finite modal sum bounds every sine mode below about 1e154, so the
+        # inverse DST has finite entries, and p is finite with the norm
+        if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
+            raise NonFiniteState("non-finite state after a step")
+        self.Y, self.Z, self.p, self.nrm = Y, self.Y, p, nrm
 
 
 def step(
@@ -187,11 +181,9 @@ def step(
     cutoff factor reads the norm of x from differences, where ``solve`` read
     it from the previous step's sine modes, at most about 1e-15 apart.
     """
-    ws = _Workspace(op.grid, x)
-    factors = semigroup_factors(op, cfg.dt)
-    w = interface_weights(op.grid, cfg.n)
-    _advance(op, c, cfg, ws, lambda: dW, ambient, factors, w)
-    return ws.row
+    path = _Path(op, c, cfg, ambient, x)
+    path.advance(lambda: dW)
+    return path.row
 
 
 def solve(
@@ -214,42 +206,34 @@ def solve(
     coefficients the drift and diffusion are bounded, so runs only stop early
     at the explosion radius if that radius was set inside the cutoff ball.
     """
-    ws = _Workspace(op.grid, x0)
-    factors = semigroup_factors(op, cfg.dt)
-    w = interface_weights(op.grid, cfg.n)
-    times = [0.0]
-    rows = [ws.row]
-    norms = [ws.nrm]
+    path = _Path(op, c, cfg, ambient, x0)
+    times, rows, norms = [], [], [path.nrm]
+
+    def record(t):
+        if not times or times[-1] != t:
+            times.append(t)
+            rows.append(path.row)
+
+    record(0.0)
     exit_event: Optional[ExitEvent] = None
     last = cfg.num_steps - 1
-
     for k in range(cfg.num_steps):
         t_next = (k + 1) * cfg.dt
-        draw = partial(stream.increment, k, cfg.dt, ambient)
         try:
-            _advance(op, c, cfg, ws, draw, ambient, factors, w)
+            path.advance(partial(stream.increment, k, cfg.dt, ambient))
         except NonFiniteState:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
             break
         except BoundaryLeftWindow:
-            t_exit = k * cfg.dt
-            exit_event = ExitEvent(step=k, time=t_exit, threshold=math.inf, kind="window")
-            if times[-1] != t_exit:
-                times.append(t_exit)
-                rows.append(ws.row)
+            exit_event = ExitEvent(step=k, time=k * cfg.dt, threshold=math.inf, kind="window")
+            record(k * cfg.dt)
             break
-        nrm = ws.nrm
-        norms.append(nrm)
+        norms.append(path.nrm)
         if (k + 1) % cfg.record_every == 0 or k == last:
-            times.append(t_next)
-            rows.append(ws.row)
-        if nrm > cfg.explosion_radius:
-            exit_event = ExitEvent(
-                step=k + 1, time=t_next, threshold=cfg.explosion_radius, kind="radius"
-            )
-            if times[-1] != t_next:
-                times.append(t_next)
-                rows.append(ws.row)
+            record(t_next)
+        if path.nrm > cfg.explosion_radius:
+            exit_event = ExitEvent(step=k + 1, time=t_next, threshold=cfg.explosion_radius, kind="radius")
+            record(t_next)
             break
 
     return Trajectory(

@@ -573,6 +573,82 @@ def test_lemma_suite_skip_is_not_a_pass(tmp_path, capsys):
     assert "skip linear_growth" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("change", ["rho_zero", "family_inf"])
+def test_lemma_suite_degenerate_example(tmp_path, change, capsys):
+    from stefansim.cli import main
+
+    # a zero interface map has zero gaps and a zero Lipschitz bound: the gap
+    # ratios are 0 and the gap rate holds.  A family with no finite n leaves
+    # the three window checks nothing to run: they are skipped, not failed
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")
+    raw = dict(load_config(path).raw, outputs=str(tmp_path / "out"))
+    if change == "rho_zero":
+        raw["model"] = dict(raw["model"], rho={"name": "zero"})
+    else:
+        raw["family"] = ["inf"]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["lemma-suite", "--config", str(cfg_path)]) == 0
+    with open(tmp_path / "out" / "lemma_suite.csv", newline="") as fh:
+        rows = {r[0]: r for r in list(csv.reader(fh))[1:]}
+    assert len(rows) == 17
+    windowed = {"intnorm_window", "psi_uniform_lipschitz", "window_arg_bound"}
+    for name, (_, status, worst, _, detail) in rows.items():
+        if change == "family_inf" and name in windowed:
+            assert (status, detail) == ("skip", "no finite n in the family with 1/n >= 2h")
+        else:
+            assert status == "pass", (name, worst, detail)
+    if change == "rho_zero":
+        assert float(rows["psi_uniform_lipschitz"][2]) == 0.0
+        assert float(rows["psi_gap_bound"][2]) == 0.0
+
+
+def test_lemma_ratio_of_zero_gaps():
+    assert lemma_suite._ratio(0.0, 0.0) == 0.0
+    assert lemma_suite._ratio(0.0, 2.0) == 0.0
+    assert lemma_suite._ratio(1.0, 0.0) == math.inf
+    assert lemma_suite._ratio(1.0, 4.0) == 0.25
+
+
+def test_map_cells_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
+    from concurrent.futures import Future
+
+    from stefansim.experiments import runs
+
+    pools = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size and runs each cell in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    cfg = resolve(dict(base_raw(tmp_path), jobs=16))
+
+    def cell(raw, n, seed):
+        return (n, seed)
+
+    args = [(4, 0), (4, 1), ("inf", 0)]
+    assert runs._map_cells(cfg, cell, args) == args
+    assert pools == [3]
+    # one cell, or none, runs in this process without a pool
+    assert runs._map_cells(cfg, cell, args[:1]) == args[:1]
+    assert runs._map_cells(cfg, cell, []) == []
+    assert pools == [3]
+
+
 def test_lemma_suite_empty_samples(tmp_path):
     raw = base_raw(tmp_path, mode="lemma-suite")
     raw["lemma_samples"] = 0

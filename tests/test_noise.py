@@ -204,6 +204,23 @@ def test_kernel_profile_finite(ambient):
                 gaussian_kernel(scale, ambient)
 
 
+def test_kernel_accepted_tiny_scales_do_not_warn(ambient):
+    # near the smallest accepted scale d^2 / (2 s^2) overflows off the
+    # diagonal; the kernel is 0 there, and neither the build nor the direct
+    # coloring that such a narrow kernel takes may warn
+    grid = Grid(1.0, 15)
+    dW = NoiseStream(seed=0).increment(0, 1e-3, ambient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (3e-155, 1e-154, 1e-153):
+            k = gaussian_kernel(scale, ambient)
+            assert _gaussian_factors(scale, ambient, grid) is None
+            row = k.zeta(ambient.nodes[60], ambient.nodes)
+            assert row[60] > 0 and not row[:60].any() and not row[61:].any()
+            assert np.isfinite(color_at(k, ambient, dW, np.array([0.0, 0.01]))).all()
+            assert np.isfinite(color_field(k, ambient, dW, 0.0, grid)).all()
+
+
 def test_kernel_build_evaluates_one_row():
     ambient = AmbientGrid(-3.0, 3.0, 2001)
     evaluated = []
