@@ -2,10 +2,11 @@
 
 Configs are YAML mappings.  ``resolve`` validates the raw dictionary and
 builds what its mode steps (in ``stefan-oracle`` mode, the classical melting
-run of the ``stefan`` section); workers rebuild from the raw dictionary, so
-everything here must be constructible from plain data.  Unknown or
-conflicting keys, non-numeric or non-finite values and non-integer counts are
-rejected with a ``ConfigError`` that names the key.
+run of the ``stefan`` section, the only mode that loads ``scipy.special``);
+workers rebuild from the raw dictionary, so everything here must be
+constructible from plain data.  Unknown or conflicting keys, non-numeric or
+non-finite values and non-integer counts are rejected with a ``ConfigError``
+that names the key.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from scipy.special import erfcx
 
 from .. import coefficients as coef
 from ..errors import ConfigError
@@ -260,6 +260,8 @@ def build_initial_state(d: dict, grid: Grid) -> np.ndarray:
 
 def _front_equation(lam: float) -> float:
     """sqrt(pi) lambda e^{lambda^2} erfc(lambda), increasing from 0 to 1; finite for every lambda."""
+    from scipy.special import erfcx  # only Stefan mode loads scipy.special
+
     return math.sqrt(math.pi) * lam * float(erfcx(lam))
 
 
@@ -304,6 +306,8 @@ class StefanFront:
 
 def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> np.ndarray:
     """State row of the similarity profile at time t0, pulled back to the boundary frame."""
+    from scipy.special import erfcx
+
     p0 = 2.0 * lam * math.sqrt(eta * t0)
     s = grid.nodes / (2.0 * math.sqrt(eta * t0))
     # erfc(lam + s) / erfc(lam), written with erfcx so that neither factor underflows

@@ -152,13 +152,24 @@ def check_d2_symmetric_negative(rng, grid, samples):
 
 
 def check_eigen_exactness(op: SpectralOperator, grid: Grid):
-    worst = 0.0
+    """A phi_k = lambda_k phi_k on sine modes, up to rounding; the worst error in units of its allowance.
+
+    Mode k's relative error may reach eps (1 + k pi) (4 eta+/h^2 + 1) / |lambda_k|:
+    the stencil's rounding scales with its weights 4 eta+/h^2 + 1, and the
+    k pi term covers the rounding of the sine's argument.
+    """
+    eps = np.finfo(float).eps
+    stencil = 4.0 * op.eta_plus / grid.h**2 + 1.0
+    worst = worst_rel = 0.0
     for k in (1, 2, grid.M // 2, grid.M):
         phi = np.sin(k * np.pi * grid.nodes / grid.L)
         AX = apply_A(op, np.concatenate((phi, np.zeros(grid.M + 1))))
-        expected = op.eigenvalues_plus[k - 1] * phi
-        worst = max(worst, np.max(np.abs(AX[: grid.M] - expected)) / np.max(np.abs(expected)))
-    return _result("eigen_exactness", worst, 1e-12)
+        lam = op.eigenvalues_plus[k - 1]
+        expected = lam * phi
+        rel = np.max(np.abs(AX[: grid.M] - expected)) / np.max(np.abs(expected))
+        worst = max(worst, rel / (eps * (1.0 + k * math.pi) * stencil / abs(lam)))
+        worst_rel = max(worst_rel, rel)
+    return _result("eigen_exactness", worst, 1.0, f"relative error {worst_rel:.3g}")
 
 
 def check_semigroup_property(rng, op, grid, samples):

@@ -14,16 +14,13 @@ way, with the weights ``SpectralOperator.h2_weights``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-# The pocketfft binding that scipy.fft.dst and scipy.fftpack.dst end in (and
-# that scipy.fftpack itself imports).  The module is private to scipy; called
-# directly it skips the per-call dtype coercion, copy detection, norm and
-# worker lookup and complex check, which cost more than a transform of a few
-# hundred points.  It returns the same bits.
-from scipy.fft._pocketfft import pypocketfft
 
 from .grids import Grid, diff2, padded, sq_norm
 
@@ -35,6 +32,37 @@ __all__ = [
     "apply_factors",
     "K_A",
 ]
+
+
+def _load_extension(name: str, directory: str):
+    """The extension module ``name`` executed from its file in ``directory``, not entered in sys.modules.
+
+    Raises ImportError naming ``directory`` when it holds no such module.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError(f"no extension module {name!r} in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pocketfft_dir() -> str:
+    """The directory of scipy's pocketfft package, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    return os.path.join(spec.submodule_search_locations[0], "fft", "_pocketfft")
+
+
+# The pocketfft binding that scipy.fft.dst and scipy.fftpack.dst end in.  The
+# module is private to scipy; called directly it skips the per-call dtype
+# coercion, copy detection, norm and worker lookup and complex check, which
+# cost more than a transform of a few hundred points.  It returns the same
+# bits.  It is loaded from its file, so that scipy.fft's package init (its
+# array-API layer and every other transform) never runs; a later
+# ``import scipy.fft`` loads its own copy.  There is no fallback.
+pypocketfft = _load_extension("pypocketfft", _pocketfft_dir())
 
 
 def dst(x: np.ndarray, out=None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import csv
 import hashlib
 import json
@@ -601,6 +602,20 @@ def test_lemma_suite_degenerate_example(tmp_path, change, capsys):
     if change == "rho_zero":
         assert float(rows["psi_uniform_lipschitz"][2]) == 0.0
         assert float(rows["psi_gap_bound"][2]) == 0.0
+
+
+@pytest.mark.parametrize("name", ["example", "stefan"])
+def test_eigen_exactness_allows_rounding_only(name):
+    # the allowance follows the stencil's rounding, eps (1 + k pi) (4 eta/h^2 + 1) / |lambda_k|:
+    # the shipped configs read about 0.16 of it, and eigenvalues off by a
+    # relative 1e-10 read hundreds of times it
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.yaml"))
+    row = lemma_suite.check_eigen_exactness(cfg.operator, cfg.grid)
+    assert row.status == lemma_suite.PASS and row.worst < 0.5, row
+    bad = copy.copy(cfg.operator)
+    object.__setattr__(bad, "eigenvalues_plus", bad.eigenvalues_plus * (1.0 + 1e-10))
+    row = lemma_suite.check_eigen_exactness(bad, cfg.grid)
+    assert row.status == lemma_suite.FAIL and row.worst > 100.0, row
 
 
 def test_lemma_ratio_of_zero_gaps():

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 
+import stefansim
 from stefansim import Grid, SpectralOperator, apply_A, semigroup, K_A, state_norm
 from stefansim.errors import GridMismatch
 from stefansim.experiments.sampling import rough_state
@@ -173,3 +177,52 @@ def test_apply_factors_modal_sum_is_h2_part(M):
             Y, s = apply_factors(F, U[:, 1:-1], op.h2_weights)
             D = diff2(U, grid.h)
             assert s == pytest.approx(np.vdot(Y, Y) + np.vdot(D, D), rel=1e-13, abs=0)
+
+
+def _run_python(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter in the repository root, with this stefansim on its path."""
+    src = os.path.dirname(os.path.dirname(stefansim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    root = os.path.join(os.path.dirname(__file__), "..")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_run_imports_only_what_its_mode_calls():
+    # operators loads pocketfft from its file and config imports erfcx in the
+    # Stefan functions, so neither scipy.fft's nor scipy.special's package
+    # init runs unless the mode calls it
+    out = _run_python(
+        "import sys\n"
+        "from stefansim.experiments import load_config\n"
+        "loaded = lambda: ' '.join(str(m in sys.modules) for m in ('scipy.fft', 'scipy.special'))\n"
+        "load_config('configs/example.yaml')\n"
+        "print(loaded())\n"
+        "load_config('configs/stefan.yaml')\n"
+        "print(loaded())\n"
+    )
+    assert out.split("\n")[:2] == ["False False", "False True"]
+
+
+def test_dst_matches_scipy_fft_imported_after():
+    # scipy.fft imported after stefansim loads its own copy of the extension;
+    # both give the same bits
+    out = _run_python(
+        "import numpy as np\n"
+        "from stefansim import operators\n"
+        "import scipy.fft\n"
+        "assert scipy.fft._pocketfft.pypocketfft is not operators.pypocketfft\n"
+        "for M in (63, 255):\n"
+        "    x = np.random.default_rng(M).standard_normal((2, M))\n"
+        "    print(M, np.array_equal(operators.dst(x), scipy.fft.dst(x, type=1)))\n"
+    )
+    assert out.split("\n")[:2] == ["63 True", "255 True"]
+
+
+def test_load_extension_names_the_directory_searched(tmp_path):
+    # no fallback: a missing extension file is an ImportError naming where it was looked for
+    from stefansim.operators import _load_extension
+
+    with pytest.raises(ImportError, match=str(tmp_path)):
+        _load_extension("pypocketfft", str(tmp_path))

@@ -457,3 +457,27 @@ def test_spatial_order_under_common_noise():
     print(line, file=sys.__stdout__, flush=True)
     REPORT_LINES.append(line)
     assert ok
+
+
+def test_front_order_in_time():
+    # The shipped Stefan run at dt = 4e-4 .. 2.5e-5: the left-endpoint drift
+    # and the explicit transport are first order, so the final-time
+    # self-differences |p_dt - p_dt/2| should halve with dt, the order
+    # rising towards 1 as dt refines.
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "stefan.yaml")).raw
+    dts = (4e-4, 2e-4, 1e-4, 5e-5, 2.5e-5)
+    fronts = []
+    for dt in dts:
+        c = resolve(dict(base, solve=dict(base["solve"], dt=dt, record_every=1)))
+        traj = solve(c.operator, c.model, c.solve, c.initial, NoiseStream(seed=0), c.ambient)
+        assert not traj.exited and traj.times[-1] == pytest.approx(c.solve.T, rel=1e-12)
+        fronts.append(traj.values[-1, -1])
+    diffs = np.abs(np.diff(fronts))
+    orders = np.log2(diffs[:-1] / diffs[1:])
+    ok = bool(np.all(np.diff(orders) > 0) and orders[-1] >= 0.8)
+    line = (f"FRONT ORDER: {'PASS' if ok else 'FAIL'} - orders {', '.join(f'{o:.3f}' for o in orders)} "
+            f"(increasing, finest >=0.8, expected 1) of |p_dt - p_dt/2| at T on configs/stefan.yaml, "
+            f"dt = {dts[0]:g}..{dts[-1]:g}")
+    print(line, file=sys.__stdout__, flush=True)
+    REPORT_LINES.append(line)
+    assert ok
