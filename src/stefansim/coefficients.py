@@ -73,7 +73,7 @@ class CoefficientSet:
     def __post_init__(self):
         for name, s in (("sigma_plus", self.sigma_plus), ("sigma_minus", self.sigma_minus)):
             val = float(s(np.array(0.0), np.array(0.0)))
-            if abs(val) > 1e-12:
+            if not abs(val) <= 1e-12:  # NaN fails too
                 raise ValueError(f"{name}(0, 0) = {val} violates the interface condition")
 
 
@@ -251,8 +251,10 @@ def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: floa
 
     The additive profile vanishes at x = 0 and decays, so the interface
     condition sigma(0, 0) = 0 holds and the additive part is square
-    integrable with two derivatives.
+    integrable with two derivatives.  The width must be positive.
     """
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
 
     # additive profile per read-only x array (the grid's node arrays), which
     # is held so that its id cannot be reused by another array

@@ -2,11 +2,13 @@
 
 Configs are YAML mappings.  ``resolve`` validates the raw dictionary and
 builds what its mode steps (in ``stefan-oracle`` mode, the classical melting
-run of the ``stefan`` section, the only mode that loads ``scipy.special``);
-workers rebuild from the raw dictionary, so everything here must be
-constructible from plain data.  Unknown or conflicting keys, non-numeric or
-non-finite values and non-integer counts are rejected with a ``ConfigError``
-that names the key.
+run of the ``stefan`` section, whose scaled complementary error function
+``_erfcx`` is evaluated with the standard library to 2e-15 relative, so no
+mode imports ``scipy.special``); workers rebuild from the raw dictionary, so
+everything here must be constructible from plain data.  Unknown or
+conflicting keys, non-numeric or non-finite values, non-integer counts and
+degenerate widths and modes are rejected with a ``ConfigError`` that names
+the key.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def _family(kind: str, d, where: str):
     params = {k: _as_float(v, f"{where}.{k}") for k, v in d.items() if k != "name"}
     try:
         return factory(**params), bounded
-    except TypeError as exc:  # a parameter the family does not take
+    except (TypeError, ValueError) as exc:  # a parameter the family does not take, or out of its range
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -248,21 +250,43 @@ def build_initial_state(d: dict, grid: Grid) -> np.ndarray:
     a1 = _as_float(d.get("amplitude", 1.0), "initial.amplitude")
     if kind == "sine":
         a2 = _as_float(d.get("amplitude2", 0.0), "initial.amplitude2")
-        mode = _as_int(d.get("mode", 1), "initial.mode")
+        mode = _as_int(d.get("mode", 1), "initial.mode", minimum=1)
         fn = lambda x: np.sin(mode * np.pi * x / grid.L)
     else:
         a2 = _as_float(d.get("amplitude2", a1), "initial.amplitude2")
         w = _as_float(d.get("width", 0.5), "initial.width")
+        if not w > 0:
+            raise ConfigError(f"initial.width must be positive, got {w}")
         fn = lambda x: x * np.exp(-((x / w) ** 2))
     base = fn(grid.nodes)
     return np.concatenate((a1 * base, a2 * base, [p0]))
 
 
+def _erfcx(x: float) -> float:
+    """The scaled complementary error function e^{x^2} erfc(x) for x >= 0, to 2e-15 relative.
+
+    Below 6 it is e^hi erfc(x) (1 + lo), where x^2 = hi + lo exactly by
+    Dekker's split, so the rounding of x^2 does not reach the exponential.
+    From 6 on it is the continued fraction
+    1 / (sqrt(pi) (x + 1/2 / (x + 1 / (x + 3/2 / (x + ...))))), 200 terms
+    evaluated from the tail, which stays finite where erfc underflows.
+    """
+    if x < 6.0:
+        c = 134217729.0 * x  # 2^27 + 1
+        xh = c - (c - x)
+        xl = x - xh
+        hi = x * x
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        return math.exp(hi) * math.erfc(x) * (1.0 + lo)
+    t = x
+    for k in range(200, 0, -1):
+        t = x + 0.5 * k / t
+    return 1.0 / (math.sqrt(math.pi) * t)
+
+
 def _front_equation(lam: float) -> float:
     """sqrt(pi) lambda e^{lambda^2} erfc(lambda), increasing from 0 to 1; finite for every lambda."""
-    from scipy.special import erfcx  # only Stefan mode loads scipy.special
-
-    return math.sqrt(math.pi) * lam * float(erfcx(lam))
+    return math.sqrt(math.pi) * lam * _erfcx(lam)
 
 
 def stefan_front_coefficient(rho0: float, v_inf: float, eta: float) -> float:
@@ -271,7 +295,9 @@ def stefan_front_coefficient(rho0: float, v_inf: float, eta: float) -> float:
     Solves sqrt(pi) lambda e^{lambda^2} erfc(lambda) = rho0 v_inf / eta; a
     root exists iff that Stefan number lies in (0, 1).  The bracket doubles
     until it holds the root, which grows like (2 (1 - St))^(-1/2) as the
-    Stefan number St approaches 1.
+    Stefan number St approaches 1.  Bisection then runs until a step leaves
+    the bracket unchanged, so a root as small as the least subnormal is
+    resolved too (about 1,050 steps for St = 1e-300).
     """
     if rho0 == 0.0:
         return 0.0
@@ -281,13 +307,12 @@ def stefan_front_coefficient(rho0: float, v_inf: float, eta: float) -> float:
     lo, hi = 0.0, 1.0
     while _front_equation(hi) < stefan_number:
         lo, hi = hi, 2.0 * hi
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
-        if _front_equation(mid) < stefan_number:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        bracket = (mid, hi) if _front_equation(mid) < stefan_number else (lo, mid)
+        if bracket == (lo, hi):
+            return 0.5 * (lo + hi)
+        lo, hi = bracket
 
 
 @dataclass(frozen=True)
@@ -306,12 +331,11 @@ class StefanFront:
 
 def _stefan_initial_state(grid: Grid, lam: float, v_inf: float, eta: float, t0: float) -> np.ndarray:
     """State row of the similarity profile at time t0, pulled back to the boundary frame."""
-    from scipy.special import erfcx
-
     p0 = 2.0 * lam * math.sqrt(eta * t0)
     s = grid.nodes / (2.0 * math.sqrt(eta * t0))
     # erfc(lam + s) / erfc(lam), written with erfcx so that neither factor underflows
-    ratio = erfcx(lam + s) / erfcx(lam) * np.exp(-s * (2.0 * lam + s))
+    scaled = np.array([_erfcx(z) for z in (lam + s).tolist()])
+    ratio = scaled / _erfcx(lam) * np.exp(-s * (2.0 * lam + s))
     return np.concatenate((v_inf * (1.0 - ratio), np.zeros(grid.M), [p0]))
 
 

@@ -64,6 +64,9 @@ def drift(model, grid, X, n):
 def test_boundary_condition_enforced(ambient):
     with pytest.raises(ValueError):
         make_model(ambient, sigma=lambda x, v: np.ones_like(np.asarray(v, dtype=float)))
+    # a sigma that is NaN at the interface does not hold the condition either
+    with pytest.raises(ValueError, match="sigma_plus"):
+        make_model(ambient, sigma=lambda x, v: np.full_like(np.asarray(v, dtype=float), np.nan))
     # the diffusivities belong to the operator, which checks them
     with pytest.raises(ValueError):
         SpectralOperator(Grid(1.0, 31), -1.0, 1.0)

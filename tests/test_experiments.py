@@ -25,7 +25,7 @@ from stefansim.experiments import (
     stefan_front_coefficient,
 )
 from stefansim.experiments import lemma_suite
-from stefansim.experiments.config import parse_family, parse_seeds
+from stefansim.experiments.config import _erfcx, parse_family, parse_seeds
 from stefansim.experiments.runs import _write_table
 from stefansim.noise import NoiseStream
 
@@ -176,6 +176,13 @@ def test_config_validation(tmp_path):
         # the window comes from x_lo/x_hi or from pad, the nodes from J or from dy
         (None, "ambient", {"x_lo": -4.0, "x_hi": 4.0, "pad": 100.0}, "ambient.x_lo and ambient.pad"),
         ("ambient", "J", 7, "ambient.J and ambient.dy"),
+        # a zero or negative width and a zero mode would give a zero initial
+        # state or silently turn the additive noise off
+        (None, "initial", {"kind": "bump", "width": 0.0}, "initial.width"),
+        (None, "initial", {"kind": "bump", "width": -0.5}, "initial.width"),
+        (None, "initial", {"kind": "sine", "mode": 0}, "initial.mode"),
+        ("model", "sigma", {"name": "affine", "additive": 0.2, "width": 0.0}, "model.sigma: width"),
+        ("model", "sigma_minus", {"name": "affine", "additive": 0.2, "width": -1.0}, "model.sigma_minus: width"),
     ):
         raw = base_raw(tmp_path)
         (raw if section is None else raw[section])[key] = value
@@ -420,11 +427,22 @@ def test_stefan_front_coefficient():
     assert stefan_front_coefficient(1.0, 0.8, 1.0) > lam
     with pytest.raises(ValueError):
         stefan_front_coefficient(4.0, 1.0, 1.0)
-    # a root for every admissible Stefan number, up to the limit 1 where lambda ~ (2 (1 - St))^(-1/2)
-    for stefan in (0.5, 0.99, 0.995, 1.0 - 1e-6):
+    # a root for every admissible Stefan number, up to the limit 1 where lambda ~ (2 (1 - St))^(-1/2),
+    # and down to roots far below the 2^-200 that 200 bisection steps from [0, 1] reach
+    for stefan in (0.5, 0.99, 0.995, 1.0 - 1e-6, 1e-100, 1e-300):
         lam = stefan_front_coefficient(stefan, 1.0, 1.0)
-        assert math.sqrt(math.pi) * lam * erfcx(lam) == pytest.approx(stefan, rel=1e-12)
+        # as a ratio: approx's absolute 1e-12 would pass any residual at tiny Stefan numbers
+        assert math.sqrt(math.pi) * lam * erfcx(lam) / stefan == pytest.approx(1.0, rel=1e-12)
     assert stefan_front_coefficient(1.0 - 1e-6, 1.0, 1.0) == pytest.approx(math.sqrt(0.5e6), rel=1e-3)
+
+
+def test_erfcx_matches_scipy():
+    # the standard-library erfcx of the Stefan functions: the Dekker-split
+    # product below 6, the continued fraction above, tiny arguments near 1
+    assert _erfcx(0.0) == 1.0
+    for xs in (np.linspace(0.0, 10.0, 20001), np.geomspace(10.0, 1e8, 2000), np.geomspace(1e-12, 1e-2, 500)):
+        ours = np.array([_erfcx(x) for x in xs.tolist()])
+        assert np.max(np.abs(ours / erfcx(xs) - 1.0)) <= 2e-15
 
 
 def test_stefan_oracle_stationary(tmp_path):

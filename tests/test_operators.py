@@ -190,19 +190,24 @@ def _run_python(code: str) -> str:
 
 
 def test_run_imports_only_what_its_mode_calls():
-    # operators loads pocketfft from its file and config imports erfcx in the
-    # Stefan functions, so neither scipy.fft's nor scipy.special's package
-    # init runs unless the mode calls it
+    # operators loads pocketfft from its file and config evaluates erfcx with
+    # the standard library, so no mode runs scipy.fft's package init or
+    # imports any part of scipy.special, the Stefan run included
     out = _run_python(
-        "import sys\n"
-        "from stefansim.experiments import load_config\n"
-        "loaded = lambda: ' '.join(str(m in sys.modules) for m in ('scipy.fft', 'scipy.special'))\n"
+        "import sys, tempfile\n"
+        "from stefansim.experiments import load_config, resolve, run_stefan_oracle\n"
+        "def loaded():\n"
+        "    return ' '.join(str(any(m == p or m.startswith(p + '.') for m in sys.modules))\n"
+        "                    for p in ('scipy.fft', 'scipy.special'))\n"
         "load_config('configs/example.yaml')\n"
         "print(loaded())\n"
-        "load_config('configs/stefan.yaml')\n"
+        "raw = load_config('configs/stefan.yaml').raw\n"
+        "print(loaded())\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    run_stefan_oracle(resolve(dict(raw, solve=dict(raw['solve'], T=0.01), outputs=out)))\n"
         "print(loaded())\n"
     )
-    assert out.split("\n")[:2] == ["False False", "False True"]
+    assert out.split("\n")[:3] == ["False False", "False False", "False False"]
 
 
 def test_dst_matches_scipy_fft_imported_after():
