@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WindowUnresolved
-from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm
+from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm, window_resolved
 from .noise import AmbientGrid, Kernel, check_window, color_field
 
 __all__ = [
@@ -200,7 +200,7 @@ def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
     meaningful on the grid.
     """
     h = grid.h
-    if 1.0 / n < 10.0 * h:
+    if not window_resolved(grid, n, 10.0):
         raise WindowUnresolved(f"window 1/n = {1 / n} is below 10h = {10 * h}")
     U = padded(grid, x)
     g = transport_direction(U, h)

@@ -6,9 +6,9 @@ run of the ``stefan`` section, whose scaled complementary error function
 ``_erfcx`` is evaluated with the standard library to 2e-15 relative, so no
 mode imports ``scipy.special``); workers rebuild from the raw dictionary, so
 everything here must be constructible from plain data.  Unknown or
-conflicting keys, non-numeric or non-finite values, non-integer counts and
-degenerate widths and modes are rejected with a ``ConfigError`` that names
-the key.
+conflicting keys, non-numeric or non-finite values, non-integer counts,
+repeated seeds or family entries and degenerate widths and modes are
+rejected with a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import yaml
 
 from .. import coefficients as coef
 from ..errors import ConfigError
-from ..grids import Grid
+from ..grids import Grid, window_resolved
 from ..noise import AmbientGrid, gaussian_kernel
 from ..operators import SpectralOperator
 from ..solver import SolveConfig
@@ -145,6 +145,8 @@ def parse_seeds(spec) -> list:
         raise ConfigError(f"seeds {spec!r} select no seed")
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {spec!r}")
     return seeds
 
 
@@ -251,6 +253,8 @@ def build_initial_state(d: dict, grid: Grid) -> np.ndarray:
     if kind == "sine":
         a2 = _as_float(d.get("amplitude2", 0.0), "initial.amplitude2")
         mode = _as_int(d.get("mode", 1), "initial.mode", minimum=1)
+        if mode > grid.M:  # mode M+1 is zero on the nodes, and higher modes alias onto lower ones
+            raise ConfigError(f"initial.mode must be at most grid.M = {grid.M}, got {mode}")
         fn = lambda x: np.sin(mode * np.pi * x / grid.L)
     else:
         a2 = _as_float(d.get("amplitude2", a1), "initial.amplitude2")
@@ -435,7 +439,7 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     family = parse_family(raw.get("family", [INF]))
     for n in family:
-        if n != INF and 1.0 / n < 2.0 * grid.h:
+        if n != INF and not window_resolved(grid, n):
             raise ConfigError(
                 f"family member n={n} has unresolved window: 1/n = {1 / n} < 2h = {2 * grid.h}"
             )

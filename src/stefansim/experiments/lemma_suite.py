@@ -24,7 +24,7 @@ from ..coefficients import (
     transport_direction,
 )
 from ..errors import WindowUnresolved
-from ..grids import Grid, diff2, interface_weights, padded, sq_norm, state_norm
+from ..grids import Grid, diff2, interface_weights, padded, sq_norm, state_norm, window_resolved
 from ..noise import AmbientGrid, NoiseStream, color_at
 from ..operators import K_A, SpectralOperator, apply_A, semigroup
 from ..solver import SolveConfig, step
@@ -57,7 +57,7 @@ def _result(name, worst, allowed, detail=""):
 
 
 def _resolvable(grid: Grid, family):
-    return [n for n in family if n != INF and 1.0 / n >= 2.0 * grid.h]
+    return [n for n in family if n != INF and window_resolved(grid, n)]
 
 
 def _no_finite_n(name):
@@ -364,7 +364,7 @@ def check_linear_growth(rng, model, grid, ambient, samples, family):
 
 
 def check_psi_gap(rng, model, grid, samples, gap_family=(4, 16, 64)):
-    ns = [n for n in gap_family if 1.0 / n >= 10.0 * grid.h]
+    ns = [n for n in gap_family if window_resolved(grid, n, 10.0)]
     if not ns:
         return LemmaResult("psi_gap_bound", FAIL, math.inf, 0.0, "no n with 1/n >= 10h")
     worst = 0.0
@@ -437,7 +437,7 @@ def run_suite(
 
     # the gap rate needs 1/n >= 10h up to n = 64: refine to M = 2^k - 1 where the grid is coarser
     gap_grid, k = grid, 10
-    while 1.0 / 64 < 10.0 * gap_grid.h:
+    while not window_resolved(gap_grid, 64, 10.0):
         gap_grid, k = Grid(grid.L, 2**k - 1), k + 1
     guard(lambda: check_psi_gap(rng, model, gap_grid, min(samples, 200)), "psi_gap_bound")
     return results

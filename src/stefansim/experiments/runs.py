@@ -20,6 +20,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from .. import __version__
 from ..coefficients import INF
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
@@ -27,13 +28,6 @@ from ..solver import Trajectory, solve
 from ..transform import F_transform
 from . import lemma_suite
 from .config import ExperimentConfig, resolve
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("stefansim")
-except Exception:  # pragma: no cover - fallback for uninstalled source trees
-    _VERSION = "unknown"
 
 __all__ = [
     "ConvergenceReport",
@@ -79,7 +73,7 @@ def _write_json(path: str, obj: dict):
 
 
 def _write_manifest(cfg: ExperimentConfig, extra: dict):
-    manifest = {"version": _VERSION, "config": cfg.raw, "warnings": cfg.warnings, **extra}
+    manifest = {"version": __version__, "config": cfg.raw, "warnings": cfg.warnings, **extra}
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 

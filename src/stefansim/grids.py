@@ -29,6 +29,7 @@ __all__ = [
     "padded",
     "diff1",
     "diff2",
+    "window_resolved",
     "interface_weights",
     "sq_norm",
     "padded_state_norm",
@@ -89,6 +90,11 @@ def diff2(V: np.ndarray, h: float) -> np.ndarray:
     return (V[..., 2:] - 2.0 * V[..., 1:-1] + V[..., :-2]) / (h * h)
 
 
+def window_resolved(grid: Grid, n, cells: float = 2.0) -> bool:
+    """Whether the window [0, 1/n] of a finite n spans ``cells`` cells of h: 2 for its mean, 10 for the gap rate."""
+    return not 1.0 / n < cells * grid.h
+
+
 @lru_cache(maxsize=32)
 def interface_weights(grid: Grid, n) -> np.ndarray:
     """Weights w on the padded nodes with w . f = the window mean 2 n^2 * integral of f over [0, 1/n].
@@ -109,7 +115,7 @@ def interface_weights(grid: Grid, n) -> np.ndarray:
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
         z = 1.0 / n
-        if z < 2.0 * h:
+        if not window_resolved(grid, n):
             raise WindowUnresolved(f"window 1/n = {z} is below 2h = {2 * h}")
         xs = np.concatenate(([0.0], grid.nodes, [grid.L]))
         m = min(int(np.floor(z / h + 1e-12)), grid.M + 1)

@@ -1,13 +1,13 @@
 """Discretized cylindrical Wiener increments and the coloring operator.
 
 The cylindrical increment over one step is a vector of iid N(0, dt/dy)
-variates on an ambient real-line grid; the coloring kernel turns it into the
-increment of the driving field xi at arbitrary points by quadrature of
-integral of zeta(x, y) dW(y).  Kernels are evaluated in closed form at the
-shifted points p +/- x_i, so no interpolation error enters the noise.
-
-For the Gaussian kernel the closed form factors exactly.  With c the window
-midpoint, delta = p - c and u_j = y_j - c,
+variates on an ambient real-line grid; the coloring kernel, the Gaussian
+zeta(x, y) = (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)) of width s, turns it
+into the increment of the driving field xi at arbitrary points by quadrature
+of integral of zeta(x, y) dW(y).  The kernel is evaluated in closed form at
+the shifted points p +/- x_i, so no interpolation error enters the noise,
+and that form factors exactly.  With c the window midpoint, delta = p - c
+and u_j = y_j - c,
 
     zeta(p +/- x_i, y_j) = Z_ij exp(-/+ delta x_i / s^2) exp(delta u_j / s^2)
                            exp(-delta^2 / (2 s^2)),   Z_ij = zeta(c +/- x_i, y_j),
@@ -15,16 +15,14 @@ midpoint, delta = p - c and u_j = y_j - c,
 so ``color_field`` costs one product of the fixed (2M x J) matrix Z, cached
 per geometry, with a vector of J exponentials, scaled by 2M exponentials.
 Where those factors could grow large enough to cost accuracy (see
-``_MAX_EXPONENT``), and for any other kernel, the direct form ``color_at`` is
-used instead.
+``_MAX_EXPONENT``), the direct form ``color_at`` is used instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -71,28 +69,6 @@ class AmbientGrid:
         return self.x_lo <= p - L and p + L <= self.x_hi
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Coloring kernel zeta.
-
-    ``zeta`` must accept broadcasting arrays (x, y).  ``scale`` is set only
-    for the Gaussian kernel of that width, and lets ``color_field`` use the
-    factorized form.
-    """
-
-    zeta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    scale: Optional[float] = None
-
-    @classmethod
-    def build(cls, zeta, ambient: AmbientGrid) -> "Kernel":
-        """The kernel zeta, checked for a finite L2-in-y norm at the middle node of ``ambient`` (J evaluations)."""
-        ys = ambient.nodes
-        row = zeta(ys[ambient.J // 2], ys)
-        if not np.isfinite(np.sqrt(np.sum(row * row) * ambient.dy)):
-            raise ValueError("kernel L2 norm is not finite at the middle of the ambient window")
-        return cls(zeta=zeta)
-
-
 def _gaussian(scale: float):
     c = 1.0 / math.sqrt(2.0 * math.pi * scale * scale)
 
@@ -105,8 +81,20 @@ def _gaussian(scale: float):
     return zeta
 
 
+@dataclass(frozen=True)
+class Kernel:
+    """The Gaussian coloring kernel of width ``scale``; ``zeta`` is derived from it and cached."""
+
+    scale: float
+
+    @cached_property
+    def zeta(self):
+        """zeta(x, y) = (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), for broadcasting arrays x and y."""
+        return _gaussian(self.scale)
+
+
 def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
-    """Gaussian convolution kernel (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), built on ``ambient``."""
+    """The Gaussian kernel of width ``scale``, checked for a finite L2-in-y norm at the middle node of ``ambient``."""
     # The squared kernel, whose integral is its squared L2 norm, peaks at
     # 1/(2 pi s^2).  For s below about 3e-155 that peak overflows or 2 pi s^2
     # underflows to 0; above about 5e153 2 pi s^2 overflows and the kernel
@@ -114,7 +102,11 @@ def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
     two_pi_s2 = 2.0 * math.pi * scale * scale
     if not (scale > 0 and 0 < two_pi_s2 < math.inf and 1.0 / two_pi_s2 < math.inf):
         raise ValueError(f"kernel scale must be positive with 2 pi s^2 and 1/(2 pi s^2) finite floats, got {scale}")
-    return replace(Kernel.build(_gaussian(scale), ambient), scale=scale)
+    kernel = Kernel(scale)
+    row = kernel.zeta(ambient.nodes[ambient.J // 2], ambient.nodes)  # one row: J evaluations, not J^2
+    if not np.isfinite(np.sqrt(np.sum(row * row) * ambient.dy)):
+        raise ValueError("kernel L2 norm is not finite at the middle of the ambient window")
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,7 @@ def check_window(ambient: AmbientGrid, p: float, L: float):
 def color_field(kernel: Kernel, ambient: AmbientGrid, dW: np.ndarray, p: float, grid: Grid):
     """Colored increments at p + x_i and p - x_i for the two phases, as rows of a (2, M) array."""
     check_window(ambient, p, grid.L)
-    factors = None if kernel.scale is None else _gaussian_factors(kernel.scale, ambient, grid)
+    factors = _gaussian_factors(kernel.scale, ambient, grid)
     if factors is None:
         xs = grid.nodes
         return np.stack((color_at(kernel, ambient, dW, p + xs), color_at(kernel, ambient, dW, p - xs)))

@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import erfcx
 
-from stefansim import AmbientGrid, Grid, SolveConfig, SpectralOperator, gaussian_kernel
+from stefansim import AmbientGrid, Grid, SolveConfig, SpectralOperator, __version__, gaussian_kernel
 from stefansim.errors import ConfigError
 from stefansim.experiments import (
     load_config,
@@ -74,6 +74,10 @@ def test_parse_seeds_range_property(a, span):
 
 @given(st.lists(st.integers(0, 10**9), min_size=1))
 def test_parse_seeds_list_property(seeds):
+    if len(set(seeds)) < len(seeds):
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            parse_seeds(seeds)
+        return
     assert parse_seeds(seeds) == seeds
     assert parse_seeds([float(s) for s in seeds]) == seeds
     assert parse_seeds(len(seeds)) == list(range(len(seeds)))
@@ -132,6 +136,11 @@ def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         resolve(raw)
 
+    raw = base_raw(tmp_path, mode="converge")
+    raw.update(family=[4, 6, 8, "inf"], seeds=[0, 0, 1])  # seed 0 would count twice in every mean
+    with pytest.raises(ConfigError, match="seeds"):
+        resolve(raw)
+
     raw = base_raw(tmp_path)
     raw["family"] = [4.7, "inf"]
     with pytest.raises(ConfigError):
@@ -181,6 +190,10 @@ def test_config_validation(tmp_path):
         (None, "initial", {"kind": "bump", "width": 0.0}, "initial.width"),
         (None, "initial", {"kind": "bump", "width": -0.5}, "initial.width"),
         (None, "initial", {"kind": "sine", "mode": 0}, "initial.mode"),
+        # modes M + 1 = 64 and 2 (M + 1) = 128 vanish on the M = 63 nodes, and
+        # every mode above M aliases onto a lower one
+        (None, "initial", {"kind": "sine", "mode": 64}, "initial.mode"),
+        (None, "initial", {"kind": "sine", "mode": 128}, "initial.mode"),
         ("model", "sigma", {"name": "affine", "additive": 0.2, "width": 0.0}, "model.sigma: width"),
         ("model", "sigma_minus", {"name": "affine", "additive": 0.2, "width": -1.0}, "model.sigma_minus: width"),
     ):
@@ -202,6 +215,11 @@ def test_config_validation(tmp_path):
             resolve(raw)
     raw = dict(base_raw(tmp_path, mode="stefan-oracle"), stefan={"rho0": 0.0, "v_inf": 4.0})
     resolve(raw)  # rho0 = 0 is the stationary front at any v_inf
+
+    # the highest mode the nodes resolve, M, is accepted and is not zero on them
+    raw = base_raw(tmp_path)
+    raw["initial"]["mode"] = 63
+    assert np.max(np.abs(resolve(raw).initial[:-1])) > 0.1
 
     # an infinite explosion radius or cutoff radius means none: the run finishes
     raw = base_raw(tmp_path)
@@ -250,6 +268,12 @@ def _dir_hashes(d):
         with open(os.path.join(d, name), "rb") as fh:
             out[name] = hashlib.sha256(fh.read()).hexdigest()
     return out
+
+
+def test_manifest_records_the_package_version(tmp_path):
+    run_simulate(resolve(base_raw(tmp_path)))
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["version"] == __version__
 
 
 def test_simulate_deterministic_bytes(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, gaussian_kernel
+from stefansim import noise
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.noise import _gaussian_factors, color_at, color_field
 
@@ -221,14 +223,24 @@ def test_kernel_accepted_tiny_scales_do_not_warn(ambient):
             assert np.isfinite(color_field(k, ambient, dW, 0.0, grid)).all()
 
 
-def test_kernel_build_evaluates_one_row():
+def test_gaussian_kernel_evaluates_one_row(monkeypatch):
+    # the kernel is its scale alone, and building it checks the L2 norm of
+    # one row of J kernel values, not of the J x J matrix
+    assert [f.name for f in dataclasses.fields(Kernel)] == ["scale"]
     ambient = AmbientGrid(-3.0, 3.0, 2001)
     evaluated = []
+    gaussian = noise._gaussian
 
-    def zeta(x, y):
-        out = np.exp(-((np.asarray(x) - np.asarray(y)) ** 2))
-        evaluated.append(out.size)
-        return out
+    def counting(scale):
+        zeta = gaussian(scale)
 
-    Kernel.build(zeta, ambient)
+        def counted(x, y):
+            out = zeta(x, y)
+            evaluated.append(out.size)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(noise, "_gaussian", counting)
+    assert gaussian_kernel(0.5, ambient) == Kernel(0.5)
     assert 0 < sum(evaluated) <= 4 * ambient.J
