@@ -208,7 +208,14 @@ def check_negative_type(rng, op, grid, samples):
 
 
 def check_coloring_linear(rng, model: CoefficientSet, ambient: AmbientGrid, samples):
-    worst = 0.0
+    """The coloring is linear in the increment, up to rounding; the worst gap in units of its allowance.
+
+    The quadrature rounds a sum over the J ambient nodes, so a sample's gap
+    may reach J eps dy sum_j zeta(x, y_j) (|a dW1_j| + |b dW2_j|), the absolute
+    sum it rounds; relative to |a c1 + b c2| it is unbounded where that nearly cancels.
+    """
+    eps = np.finfo(float).eps
+    worst = worst_rel = 0.0
     for _ in range(min(samples, 50)):
         dW1 = rng.standard_normal(ambient.J)
         dW2 = rng.standard_normal(ambient.J)
@@ -216,8 +223,10 @@ def check_coloring_linear(rng, model: CoefficientSet, ambient: AmbientGrid, samp
         x = float(rng.uniform(ambient.x_lo, ambient.x_hi))
         lhs = color_at(model.kernel, ambient, a * dW1 + b * dW2, x)
         rhs = a * color_at(model.kernel, ambient, dW1, x) + b * color_at(model.kernel, ambient, dW2, x)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-    return _result("coloring_linear", worst, 1e-12)
+        absolute = model.kernel.zeta(x, ambient.nodes) @ (np.abs(a * dW1) + np.abs(b * dW2))
+        worst = max(worst, _ratio(abs(lhs - rhs), ambient.J * eps * ambient.dy * absolute))
+        worst_rel = max(worst_rel, abs(lhs - rhs) / max(abs(rhs), 1e-12))
+    return _result("coloring_linear", worst, 1.0, f"relative error {worst_rel:.3g}")
 
 
 def check_brownian_variance(rng, model: CoefficientSet, ambient: AmbientGrid):

@@ -5,7 +5,9 @@ Every (n, seed) cell is an independent job keyed by its identity, so output
 is deterministic regardless of worker scheduling.  Workers rebuild their
 objects from the raw config mapping because coefficient closures do not
 pickle; ``_map_cells`` runs the cells in order, or over ``jobs`` worker
-processes, never more than there are cells.
+processes, never more than there are cells.  A convergence study runs one
+job per seed, whose members share each drawn increment; its report holds
+only the per-seed distances and derives the q-means, rows and slope.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cache
 from typing import Dict, List
 
 import numpy as np
@@ -88,23 +91,17 @@ def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
 
 
 class _SharedStream:
-    """Draws each increment of ``stream`` once and replays that same increment to every later caller.
+    """``stream``, with each increment drawn once and that same array replayed to every later caller.
 
     The members of an interface family on one seed read identical increments;
-    sharing the draw saves recomputing it per member.
+    sharing the draw saves recomputing it per member.  The cache wraps the
+    bound method when the stream is made, so it calls ``NoiseStream.increment``
+    as it is at that moment.
     """
 
     def __init__(self, stream: NoiseStream):
-        self.stream = stream
         self.seed = stream.seed
-        self._drawn = {}
-
-    def increment(self, step_index, dt, ambient):
-        key = (step_index, dt, ambient)
-        inc = self._drawn.get(key)
-        if inc is None:
-            inc = self._drawn[key] = self.stream.increment(step_index, dt, ambient)
-        return inc
+        self.increment = cache(stream.increment)
 
 
 def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
@@ -175,49 +172,40 @@ def run_simulate(cfg: ExperimentConfig) -> List[dict]:
 
 @dataclass
 class ConvergenceReport:
-    """Per-n distance statistics against the n = inf reference."""
+    """Per-seed distances of each finite n to the n = inf reference, and what derives from them.
+
+    ``h1_dist``, ``d2l2_dist``, ``p_dist`` and ``exploded`` map each n of
+    ``family`` to a list aligned with ``seeds``.  The report keeps nothing
+    else: ``rows()`` and ``slope`` recompute the q-means from these lists.
+    """
 
     family: List  # finite members, ascending
     seeds: List[int]
     q: int
-    # maps n -> per-seed arrays, aligned with ``seeds``
-    h1_dist: Dict = field(default_factory=dict)
-    d2l2_dist: Dict = field(default_factory=dict)
-    p_dist: Dict = field(default_factory=dict)
-    exploded: Dict = field(default_factory=dict)
-    mean_h1: Dict = field(default_factory=dict)
-    mean_d2l2: Dict = field(default_factory=dict)
-    mean_p: Dict = field(default_factory=dict)
-    slope: float = math.nan
-    warnings: List[str] = field(default_factory=list)
+    h1_dist: Dict
+    d2l2_dist: Dict
+    p_dist: Dict
+    exploded: Dict
 
-    def finalize(self):
-        for n in self.family:
-            for src, dst_ in (
-                (self.h1_dist, self.mean_h1),
-                (self.d2l2_dist, self.mean_d2l2),
-                (self.p_dist, self.mean_p),
-            ):
-                a = np.asarray(src[n], dtype=float)
-                dst_[n] = float(np.mean(a**self.q) ** (1.0 / self.q))
+    def q_mean(self, dist: Dict, n) -> float:
+        """(mean over seeds of d^q)^(1/q) of member n's distances in ``dist``."""
+        return float(np.mean(np.asarray(dist[n], dtype=float) ** self.q) ** (1.0 / self.q))
+
+    @property
+    def slope(self) -> float:
+        """Least-squares slope of log q-mean H1 distance against log n; NaN below two members or at a non-finite log."""
         xs = np.log([float(n) for n in self.family])
-        ys = np.log([max(self.mean_h1[n], 1e-300) for n in self.family])
+        ys = np.log([max(self.q_mean(self.h1_dist, n), 1e-300) for n in self.family])
         if len(self.family) >= 2 and np.all(np.isfinite(ys)):
-            self.slope = float(np.polyfit(xs, ys, 1)[0])
+            return float(np.polyfit(xs, ys, 1)[0])
+        return math.nan
 
     def rows(self):
-        out = []
-        for n in self.family:
-            out.append(
-                [
-                    _n_label(n),
-                    _fmt(self.mean_h1[n]),
-                    _fmt(self.mean_d2l2[n]),
-                    _fmt(self.mean_p[n]),
-                    str(int(np.sum(self.exploded[n]))),
-                ]
-            )
-        return out
+        dists = (self.h1_dist, self.d2l2_dist, self.p_dist)
+        return [
+            [_n_label(n), *(_fmt(self.q_mean(d, n)) for d in dists), str(int(np.sum(self.exploded[n])))]
+            for n in self.family
+        ]
 
 
 def _pair_distances(ref: Trajectory, traj: Trajectory):
@@ -248,27 +236,17 @@ def _converge_seed(raw: dict, seed: int) -> dict:
     stream = _SharedStream(NoiseStream(seed=seed))
     trajs = {n: _solve_cell(cfg, n, stream) for n in cfg.family}
     ref = trajs[INF]
-    out = {}
-    for n in cfg.family:
-        if n == INF:
-            continue
-        d_h1, d_d2, d_p = _pair_distances(ref, trajs[n])
-        out[n] = (d_h1, d_d2, d_p, bool(trajs[n].exited or ref.exited))
-    return out
+    return {n: (*_pair_distances(ref, t), bool(t.exited or ref.exited)) for n, t in trajs.items() if n != INF}
 
 
 def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:
     """Monte Carlo distances to the sharp-interface reference, plus a rate fit."""
     finite = sorted(n for n in cfg.family if n != INF)
-    report = ConvergenceReport(family=finite, seeds=list(cfg.seeds), q=cfg.q, warnings=list(cfg.warnings))
     os.makedirs(cfg.out_dir, exist_ok=True)
     per_seed = _map_cells(cfg, _converge_seed, [(s,) for s in cfg.seeds])
-    for n in finite:
-        # one list per statistic, aligned with the seeds
-        report.h1_dist[n], report.d2l2_dist[n], report.p_dist[n], report.exploded[n] = map(
-            list, zip(*(cell[n] for cell in per_seed))
-        )
-    report.finalize()
+    # the four statistics, each as n -> one list aligned with the seeds
+    stats = ({n: [cell[n][i] for cell in per_seed] for n in finite} for i in range(4))
+    report = ConvergenceReport(finite, list(cfg.seeds), cfg.q, *stats)
 
     _write_csv(
         os.path.join(cfg.out_dir, "report.csv"),

@@ -111,21 +111,21 @@ def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
 
 @dataclass(frozen=True)
 class NoiseStream:
-    """Deterministic per-trajectory noise source, replayable by step index.
+    """Deterministic noise source of one seed, replayable by step index.
 
-    The same (seed, trajectory_id, step_index) always yields the same
-    increment, independently of how many steps were consumed before; this is
-    what lets every member of the interface family n see the identical noise.
+    The same (seed, step_index) always yields the same increment,
+    independently of how many steps were consumed before; this is what lets
+    every member of the interface family n see the identical noise.
     """
 
     seed: int
-    trajectory_id: int = 0
 
     def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
         """The read-only (J,) increment dW of step ``step_index``: iid N(0, dt/dy) at the ambient nodes."""
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.trajectory_id, step_index))
+        # the leading 0 of the spawn key is part of every increment's bits and of each _noise.bin
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, step_index))
         rng = np.random.default_rng(ss)
         dW = rng.normal(0.0, math.sqrt(dt / ambient.dy), ambient.J)
         dW.setflags(write=False)

@@ -1,6 +1,7 @@
 import copy
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from stefansim.experiments import (
 )
 from stefansim.experiments import lemma_suite
 from stefansim.experiments.config import _erfcx, parse_family, parse_seeds
-from stefansim.experiments.runs import _write_table
+from stefansim.experiments.runs import ConvergenceReport, _write_table
 from stefansim.noise import NoiseStream
 
 
@@ -440,6 +441,49 @@ def test_converge_smoke_and_zero_rho_collapse(tmp_path):
         assert max(rep2.p_dist[n]) == 0.0
 
 
+def test_convergence_report_derives_from_distances():
+    # q = 2 means of (a, b) with a^2 + b^2 = 2 c^2 are exactly c; the report
+    # keeps only the per-seed lists, so an edit to one shows in rows() and slope
+    h1 = {4: [7 / 64, 17 / 64], 8: [1 / 64, 7 / 64], 16: [1 / 64, 1 / 64]}
+    d2l2 = {4: [17 / 8, 31 / 8], 8: [7 / 8, 23 / 8], 16: [1 / 8, 7 / 8]}
+    p = {4: [1 / 4, 7 / 4], 8: [1 / 4, 1 / 4], 16: [0.0, 0.0]}
+    exploded = {4: [True, True], 8: [False, True], 16: [False, False]}
+    rep = ConvergenceReport(
+        family=[4, 8, 16], seeds=[0, 1], q=2, h1_dist=h1, d2l2_dist=d2l2, p_dist=p, exploded=exploded
+    )
+    assert rep.rows() == [
+        ["4", "0.203125", "3.125", "1.25", "2"],
+        ["8", "0.078125", "2.125", "0.25", "1"],
+        ["16", "0.015625", "0.625", "0", "0"],
+    ]
+    xs = np.log([4.0, 8.0, 16.0])
+    assert rep.slope == float(np.polyfit(xs, np.log([13 / 64, 5 / 64, 1 / 64]), 1)[0])
+
+    rep.h1_dist[16] = [7 / 64, 17 / 64]
+    assert rep.rows()[2][1] == "0.203125"
+    assert rep.slope == float(np.polyfit(xs, np.log([13 / 64, 5 / 64, 13 / 64]), 1)[0])
+    for gone in ("mean_h1", "mean_d2l2", "mean_p", "warnings", "finalize"):
+        assert not hasattr(rep, gone), gone
+
+
+def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch):
+    # four members on each of two seeds read one shared draw per (seed, step)
+    drawn = []
+    increment = NoiseStream.increment
+
+    def counted(self, k, dt, ambient):
+        drawn.append((self.seed, k))
+        return increment(self, k, dt, ambient)
+
+    monkeypatch.setattr(NoiseStream, "increment", counted)
+    raw = base_raw(tmp_path, mode="converge")
+    raw["family"] = [4, 8, 16, "inf"]
+    cfg = resolve(raw)
+    rep = run_converge(cfg)
+    assert not any(any(e) for e in rep.exploded.values())
+    assert sorted(drawn) == [(s, k) for s in (0, 1) for k in range(cfg.solve.num_steps)]
+
+
 def test_stefan_front_coefficient():
     # rho0 = 0 is the stationary front
     assert stefan_front_coefficient(0.0, 0.5, 1.0) == 0.0
@@ -658,6 +702,27 @@ def test_eigen_exactness_allows_rounding_only(name):
     object.__setattr__(bad, "eigenvalues_plus", bad.eigenvalues_plus * (1.0 + 1e-10))
     row = lemma_suite.check_eigen_exactness(bad, cfg.grid)
     assert row.status == lemma_suite.FAIL and row.worst > 100.0, row
+
+
+def test_coloring_linear_allows_rounding_only(monkeypatch):
+    # the allowance is the quadrature's rounding of its absolute sum: rng seed
+    # 105 makes a nearly cancelling a c1 + b c2 on the example model, which a
+    # fixed relative 1e-12 failed (6.3e-12), and a left side off by a relative
+    # 1e-10 reads over 10 times the allowance
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml"))
+    row = lemma_suite.check_coloring_linear(np.random.default_rng(105), cfg.model, cfg.ambient, 200)
+    assert row.status == lemma_suite.PASS and row.worst < 0.1, row
+    calls = itertools.count()
+    color_at = lemma_suite.color_at
+
+    def lhs_off(kernel, ambient, dW, x):
+        # each sample colors a dW1 + b dW2 first, then dW1 and dW2
+        v = color_at(kernel, ambient, dW, x)
+        return v * (1.0 + 1e-10) if next(calls) % 3 == 0 else v
+
+    monkeypatch.setattr(lemma_suite, "color_at", lhs_off)
+    row = lemma_suite.check_coloring_linear(np.random.default_rng(105), cfg.model, cfg.ambient, 200)
+    assert row.status == lemma_suite.FAIL and row.worst > 10.0, row
 
 
 def test_lemma_ratio_of_zero_gaps():

@@ -44,7 +44,7 @@ def test_increment_variance(ambient):
 
 
 def test_increment_replay_and_independence(ambient):
-    stream = NoiseStream(seed=7, trajectory_id=3)
+    stream = NoiseStream(seed=7)
     a = stream.increment(5, 0.01, ambient)
     b = stream.increment(5, 0.01, ambient)
     assert np.array_equal(a, b)
