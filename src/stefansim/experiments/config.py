@@ -1,14 +1,16 @@
 """Experiment configuration: parsing, validation and object construction.
 
-Configs are YAML mappings.  ``resolve`` validates the raw dictionary and
-builds what its mode steps (in ``stefan-oracle`` mode, the classical melting
-run of the ``stefan`` section, whose scaled complementary error function
-``_erfcx`` is evaluated with the standard library to 2e-15 relative, so no
-mode imports ``scipy.special``); workers rebuild from the raw dictionary, so
-everything here must be constructible from plain data.  Unknown or
-conflicting keys, non-numeric or non-finite values, non-integer counts,
-repeated seeds or family entries and degenerate widths and modes are
-rejected with a ``ConfigError`` that names the key.
+Configs are mappings; ``read_config`` reads one from a YAML file and is the
+one function that imports PyYAML, so ``resolve(mapping)`` runs without it.
+``resolve`` validates the raw dictionary and builds what its mode steps (in
+``stefan-oracle`` mode, the classical melting run of the ``stefan`` section,
+whose scaled complementary error function ``_erfcx`` is evaluated with the
+standard library to 2e-15 relative, so no mode imports ``scipy.special``);
+workers rebuild from the raw dictionary, so everything here must be
+constructible from plain data.  Unknown or conflicting keys, non-numeric or
+non-finite values, non-integer counts, repeated seeds or family entries and
+degenerate widths and modes are rejected with a ``ConfigError`` that names
+the key.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .. import coefficients as coef
 from ..errors import ConfigError
@@ -427,12 +428,14 @@ def resolve(raw: dict) -> ExperimentConfig:
     # an infinite radius is no radius, and an infinite cutoff no cutoff
     sd = _mapping(_require(raw, "solve", "config"), "solve", _SOLVE_KEYS)
     trunc_r = sd.get("truncation_r")
+    if trunc_r is not None:
+        trunc_r = _as_float(trunc_r, "solve.truncation_r", False)
     with _invalid("solve section"):
         solve_cfg = SolveConfig(
             dt=_as_float(_require(sd, "dt", "solve"), "solve.dt"),
             T=_as_float(_require(sd, "T", "solve"), "solve.T"),
             n=INF,
-            truncation=None if trunc_r is None else TruncationSpec(_as_float(trunc_r, "solve.truncation_r", False)),
+            truncation=None if trunc_r in (None, INF) else TruncationSpec(trunc_r),
             explosion_radius=_as_float(sd.get("R_max", 1e6), "solve.R_max", False),
             record_every=_as_int(sd.get("record_every", 1), "solve.record_every"),
         )
@@ -488,6 +491,8 @@ def resolve(raw: dict) -> ExperimentConfig:
 
 def read_config(path: str) -> dict:
     """The raw mapping of a YAML config file, not yet resolved."""
+    import yaml
+
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)

@@ -8,6 +8,11 @@ pickle; ``_map_cells`` runs the cells in order, or over ``jobs`` worker
 processes, never more than there are cells.  A convergence study runs one
 job per seed, whose members share each drawn increment; its report holds
 only the per-seed distances and derives the q-means, rows and slope.
+
+A run imports only what its mode calls: ``_map_cells`` imports the process
+pool (``concurrent.futures`` with ``multiprocessing``) only when it forks,
+and ``run_lemma_suite`` imports the lemma battery (with ``sampling``), so a
+serial simulate, converge or stefan-oracle run loads neither.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import cache
 from typing import Dict, List
@@ -29,7 +33,6 @@ from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
 from ..solver import Trajectory, solve
 from ..transform import F_transform
-from . import lemma_suite
 from .config import ExperimentConfig, resolve
 
 __all__ = [
@@ -85,6 +88,8 @@ def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
     jobs = min(cfg.jobs, len(args))
     if jobs <= 1:
         return [cell(cfg.raw, *a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only when a run forks
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(cell, cfg.raw, *a) for a in args]
         return [f.result() for f in futures]
@@ -300,7 +305,10 @@ def run_stefan_oracle(cfg: ExperimentConfig) -> dict:
 # Property suite
 
 
-def run_lemma_suite(cfg: ExperimentConfig) -> List[lemma_suite.LemmaResult]:
+def run_lemma_suite(cfg: ExperimentConfig) -> list:
+    """The lemma battery's ``LemmaResult`` rows, written to ``lemma_suite.csv``."""
+    from . import lemma_suite  # with sampling, only in this mode
+
     results = lemma_suite.run_suite(
         cfg.model, cfg.operator, cfg.ambient, cfg.family, samples=cfg.lemma_samples, seed=0
     )

@@ -226,8 +226,15 @@ def test_config_validation(tmp_path):
     raw = base_raw(tmp_path)
     raw["solve"].update(R_max=math.inf, truncation_r="inf")
     cfg = resolve(raw)
-    assert cfg.solve.explosion_radius == cfg.solve.truncation.r == math.inf
+    assert cfg.solve.explosion_radius == math.inf and cfg.solve.truncation is None
     assert not run_simulate(cfg)[0]["exited"]
+    # so an unbounded converge run with an infinite cutoff radius is untruncated,
+    # and its rate assertion is refused as when the radius is absent
+    raw = dict(base_raw(tmp_path, mode="converge"), family=[4, 8, 16, "inf"])
+    raw["model"]["mu"] = {"name": "quadratic"}
+    for r in (math.inf, "inf", None):
+        raw["solve"]["truncation_r"] = r
+        assert [w[:23] for w in resolve(raw).warnings] == ["rate assertion refused:"]
 
 
 def test_constructors_reject_non_finite(ambient):
@@ -756,7 +763,8 @@ def test_map_cells_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(runs, "ProcessPoolExecutor", RecordingPool)
+    # _map_cells imports the pool class when it forks, so patch it where that import reads it
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = resolve(dict(base_raw(tmp_path), jobs=16))
 
     def cell(raw, n, seed):
@@ -792,6 +800,37 @@ def test_cli_simulate(tmp_path, capsys):
     assert (tmp_path / "cli_out" / "traj_n4_seed1.csv").exists()
     out = capsys.readouterr().out
     assert "wrote 4 trajectories" in out
+
+
+def test_cli_converge_warns_when_pairs_exit(tmp_path, capsys):
+    from stefansim.cli import main
+
+    # the example with a strong v^2 reaction, no cutoff and no explosion
+    # radius: every path blows up before T, and the fitted slope alone does not say so
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")) as fh:
+        shipped = yaml.safe_load(fh)
+    raw = copy.deepcopy(shipped)
+    raw["model"]["mu"] = {"name": "quadratic", "coeff": 400}
+    del raw["solve"]["truncation_r"]
+    raw["solve"]["R_max"] = math.inf
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    argv = ["converge", "--config", str(cfg_path), "--seeds", "0..1", "--out", str(tmp_path / "out")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("fitted slope: ")
+    assert [line for line in err.splitlines() if line.startswith("warning: ") and "pairs" in line] == [
+        "warning: 8 of 8 (n, seed) pairs exited before T; their distances cover only the window before the exit"
+    ]
+    # report.csv counts the same exits
+    with open(tmp_path / "out" / "report.csv") as fh:
+        assert [row["n_exploded"] for row in csv.DictReader(fh)] == ["2"] * 4
+
+    # the shipped example exits nowhere and warns of nothing
+    cfg_path.write_text(yaml.safe_dump(shipped))
+    assert main(argv) == 0
+    assert "warning:" not in capsys.readouterr().err
 
 
 def test_cli_bad_config(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.fft
+import yaml
 
 import stefansim
 from stefansim import Grid, SpectralOperator, apply_A, semigroup, K_A, state_norm
@@ -208,6 +210,40 @@ def test_run_imports_only_what_its_mode_calls():
         "print(loaded())\n"
     )
     assert out.split("\n")[:3] == ["False False", "False False", "False False"]
+
+
+def test_run_loads_pool_yaml_and_battery_only_when_called():
+    # the worker pool, the YAML parser and the lemma battery are imported by
+    # the call that needs them, so a serial run of a config mapping loads none
+    configs = {}
+    for name in ("example", "stefan"):
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", name + ".yaml")) as fh:
+            configs[name] = json.dumps(yaml.safe_load(fh))
+    out = _run_python(
+        "import json, sys, tempfile\n"
+        "from stefansim.experiments import load_config, resolve, run_converge, run_lemma_suite, run_simulate, run_stefan_oracle\n"
+        "def loaded(*names):\n"
+        "    return ' '.join(str(m in sys.modules) for m in names)\n"
+        "deferred = ('yaml', 'multiprocessing', 'concurrent.futures.process',\n"
+        "            'stefansim.experiments.lemma_suite', 'stefansim.experiments.sampling')\n"
+        f"example, stefan = json.loads({configs['example']!r}), json.loads({configs['stefan']!r})\n"
+        "short = dict(example['solve'], T=0.02)\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    run_stefan_oracle(resolve(dict(stefan, solve=dict(stefan['solve'], T=0.01), outputs=out)))\n"
+        "    print(loaded(*deferred))\n"
+        "    run_simulate(resolve(dict(example, mode='simulate', seeds=[0, 1], solve=short, outputs=out)))\n"
+        "    print(loaded(*deferred))\n"
+        "    run_converge(resolve(dict(example, mode='converge', seeds=[0, 1], solve=short, outputs=out)))\n"
+        "    print(loaded(*deferred))\n"
+        "    run_lemma_suite(resolve(dict(example, mode='lemma-suite', lemma_samples=1, outputs=out)))\n"
+        "    print(loaded('stefansim.experiments.lemma_suite', 'multiprocessing', 'yaml'))\n"
+        "    run_converge(resolve(dict(example, mode='converge', seeds=[0, 1], solve=short, outputs=out, jobs=2)))\n"
+        "    print(loaded('concurrent.futures.process', 'multiprocessing', 'yaml'))\n"
+        "load_config('configs/example.yaml')\n"
+        "print(loaded('yaml'))\n"
+    )
+    none = "False False False False False"
+    assert out.split("\n")[:6] == [none, none, none, "True False False", "True True False", "True"]
 
 
 def test_dst_matches_scipy_fft_imported_after():
