@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -212,7 +212,7 @@ def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Builtin coefficient families (selected by name from experiment configs)
+# Builtin coefficient families, selected by name from configs; each binds a module function, so it pickles
 
 def _mu_zero(x, v, vp):
     return np.zeros(np.shape(v))
@@ -223,18 +223,30 @@ def mu_zero():
     return _mu_zero
 
 
+def _mu_linear(c_v, c_vp, x, v, vp):
+    return c_v * v + c_vp * vp
+
+
 def mu_linear(c_v: float = 0.0, c_vp: float = 0.0):
-    return lambda x, v, vp: c_v * v + c_vp * vp
+    return partial(_mu_linear, c_v, c_vp)
+
+
+def _mu_saturated(amplitude, slope, x, v, vp):
+    return amplitude * np.tanh(slope * v) + amplitude * np.tanh(slope * vp)
 
 
 def mu_saturated(amplitude: float = 1.0, slope: float = 1.0):
     """Bounded reaction with bounded slopes, tanh in both v and v'."""
-    return lambda x, v, vp: amplitude * np.tanh(slope * v) + amplitude * np.tanh(slope * vp)
+    return partial(_mu_saturated, amplitude, slope)
+
+
+def _mu_quadratic(coeff, x, v, vp):
+    return coeff * v * v
 
 
 def mu_quadratic(coeff: float = 1.0):
     """v^2 reaction; locally Lipschitz only, used for explosion demonstrations."""
-    return lambda x, v, vp: coeff * v * v
+    return partial(_mu_quadratic, coeff)
 
 
 def _sigma_zero(x, v):
@@ -246,6 +258,21 @@ def sigma_zero():
     return _sigma_zero
 
 
+def _sigma_affine(additive, multiplicative, width, profiles, x, v):
+    # profiles maps id(x) of a read-only x (the grid's node arrays) to x and its
+    # additive profile; holding x keeps its id from being reused by another array
+    hit = profiles.get(id(x))
+    if hit is not None and hit[0] is x:
+        return hit[1] + multiplicative * v
+    xa = np.asarray(x, dtype=float)
+    profile = additive * xa * np.exp(-xa * xa / (2.0 * width * width))
+    if isinstance(x, np.ndarray) and not x.flags.writeable:
+        if len(profiles) >= 8:
+            profiles.clear()
+        profiles[id(x)] = (x, profile)
+    return profile + multiplicative * v
+
+
 def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: float = 1.0):
     """sigma(x, v) = additive * x exp(-x^2 / (2 w^2)) + multiplicative * v.
 
@@ -255,36 +282,29 @@ def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: floa
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+    return partial(_sigma_affine, additive, multiplicative, width, {})
 
-    # additive profile per read-only x array (the grid's node arrays), which
-    # is held so that its id cannot be reused by another array
-    profiles = {}
 
-    def sigma(x, v):
-        hit = profiles.get(id(x))
-        if hit is not None and hit[0] is x:
-            return hit[1] + multiplicative * v
-        xa = np.asarray(x, dtype=float)
-        profile = additive * xa * np.exp(-xa * xa / (2.0 * width * width))
-        if isinstance(x, np.ndarray) and not x.flags.writeable:
-            if len(profiles) >= 8:
-                profiles.clear()
-            profiles[id(x)] = (x, profile)
-        return profile + multiplicative * v
+def _constant(value, *args):
+    return value
 
-    return sigma
+
+def _rho_linear(rho0, a, b):
+    return rho0 * (a - b)
+
+
+def _rho_tanh(rho0, slope, a, b):
+    return rho0 * math.tanh(slope * (a - b))
 
 
 def rho_zero():
-    return (lambda a, b: 0.0), (lambda r: 0.0)
+    return partial(_constant, 0.0), partial(_constant, 0.0)
 
 
 def rho_linear(rho0: float = 1.0):
-    lip = abs(rho0) * math.sqrt(2.0)
-    return (lambda a, b: rho0 * (a - b)), (lambda r: lip)
+    return partial(_rho_linear, rho0), partial(_constant, abs(rho0) * math.sqrt(2.0))
 
 
 def rho_tanh(rho0: float = 1.0, slope: float = 1.0):
     """Bounded interface map rho0 * tanh(slope * (a - b))."""
-    lip = abs(rho0) * slope * math.sqrt(2.0)
-    return (lambda a, b: rho0 * math.tanh(slope * (a - b))), (lambda r: lip)
+    return partial(_rho_tanh, rho0, slope), partial(_constant, abs(rho0) * slope * math.sqrt(2.0))

@@ -5,12 +5,11 @@ one function that imports PyYAML, so ``resolve(mapping)`` runs without it.
 ``resolve`` validates the raw dictionary and builds what its mode steps (in
 ``stefan-oracle`` mode, the classical melting run of the ``stefan`` section,
 whose scaled complementary error function ``_erfcx`` is evaluated with the
-standard library to 2e-15 relative, so no mode imports ``scipy.special``);
-workers rebuild from the raw dictionary, so everything here must be
-constructible from plain data.  Unknown or conflicting keys, non-numeric or
-non-finite values, non-integer counts, repeated seeds or family entries and
-degenerate widths and modes are rejected with a ``ConfigError`` that names
-the key.
+standard library to 2e-15 relative, so no mode imports ``scipy.special``).
+The resolved config pickles, and it is what every cell and worker of a run
+receives.  Unknown or conflicting keys, non-numeric or non-finite values,
+non-integer counts, repeated seeds or family entries and degenerate widths
+and modes are rejected with a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
@@ -383,13 +382,12 @@ def build_stefan(d: dict, eta_default: float, grid: Grid, ambient: AmbientGrid, 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration plus the raw mapping it came from.
+    """Fully resolved configuration plus the raw mapping it came from, which only the manifest reads.
 
     ``model``, ``operator``, ``initial`` and ``solve`` are what the mode steps.
     """
 
     raw: dict
-    mode: str
     grid: Grid
     ambient: AmbientGrid
     model: coef.CoefficientSet
@@ -469,7 +467,6 @@ def resolve(raw: dict) -> ExperimentConfig:
 
     return ExperimentConfig(
         raw=raw,
-        mode=mode,
         grid=grid,
         ambient=ambient,
         model=model,

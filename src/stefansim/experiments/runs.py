@@ -2,12 +2,12 @@
 oracle and the property suite.
 
 Every (n, seed) cell is an independent job keyed by its identity, so output
-is deterministic regardless of worker scheduling.  Workers rebuild their
-objects from the raw config mapping because coefficient closures do not
-pickle; ``_map_cells`` runs the cells in order, or over ``jobs`` worker
-processes, never more than there are cells.  A convergence study runs one
-job per seed, whose members share each drawn increment; its report holds
-only the per-seed distances and derives the q-means, rows and slope.
+is deterministic regardless of worker scheduling.  Every cell, serial or in
+a worker, receives the resolved config, which pickles; ``_map_cells`` runs
+the cells in order, or over ``jobs`` worker processes, never more than there
+are cells.  A convergence study runs one job per seed, whose members share
+each drawn increment; its report holds only the per-seed distances and
+derives the q-means, rows and slope.
 
 A run imports only what its mode calls: ``_map_cells`` imports the process
 pool (``concurrent.futures`` with ``multiprocessing``) only when it forks,
@@ -33,7 +33,7 @@ from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
 from ..solver import Trajectory, solve
 from ..transform import F_transform
-from .config import ExperimentConfig, resolve
+from .config import ExperimentConfig, resolve  # noqa: F401, the benchmark calls and traces runs.resolve
 
 __all__ = [
     "ConvergenceReport",
@@ -84,14 +84,14 @@ def _write_manifest(cfg: ExperimentConfig, extra: dict):
 
 
 def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
-    """``[cell(cfg.raw, *a) for a in args]``, over ``min(cfg.jobs, len(args))`` worker processes if more than one."""
+    """``[cell(cfg, *a) for a in args]``, over ``min(cfg.jobs, len(args))`` worker processes if more than one."""
     jobs = min(cfg.jobs, len(args))
     if jobs <= 1:
-        return [cell(cfg.raw, *a) for a in args]
+        return [cell(cfg, *a) for a in args]
     from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only when a run forks
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(cell, cfg.raw, *a) for a in args]
+        futures = [pool.submit(cell, cfg, *a) for a in args]
         return [f.result() for f in futures]
 
 
@@ -139,8 +139,7 @@ def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
     np.asarray(rows, dtype=np.float64).tofile(path)
 
 
-def _simulate_cell(raw: dict, n, seed: int) -> dict:
-    cfg = resolve(raw)
+def _simulate_cell(cfg: ExperimentConfig, n, seed: int) -> dict:
     traj = _solve_cell(cfg, n, NoiseStream(seed=seed))
     label = _n_label(n)
     base = os.path.join(cfg.out_dir, f"traj_n{label}_seed{seed}")
@@ -235,9 +234,8 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
     return d_h1, d_d2, d_p
 
 
-def _converge_seed(raw: dict, seed: int) -> dict:
+def _converge_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """All family members for one seed, all driven by the identical increments, drawn once."""
-    cfg = resolve(raw)
     stream = _SharedStream(NoiseStream(seed=seed))
     trajs = {n: _solve_cell(cfg, n, stream) for n in cfg.family}
     ref = trajs[INF]

@@ -50,6 +50,9 @@ class Grid:
         if self.M < 4:
             raise ValueError(f"need at least 4 interior points, got {self.M}")
 
+    def __getstate__(self):
+        return {"L": self.L, "M": self.M}  # not the cached node arrays, which would unpickle writeable
+
     @property
     def h(self) -> float:
         return self.L / (self.M + 1)

@@ -83,14 +83,13 @@ def _gaussian(scale: float):
 
 @dataclass(frozen=True)
 class Kernel:
-    """The Gaussian coloring kernel of width ``scale``; ``zeta`` is derived from it and cached."""
+    """The Gaussian coloring kernel of width ``scale``."""
 
     scale: float
 
-    @cached_property
-    def zeta(self):
+    def zeta(self, x, y):
         """zeta(x, y) = (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), for broadcasting arrays x and y."""
-        return _gaussian(self.scale)
+        return _gaussian(self.scale)(x, y)
 
 
 def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:

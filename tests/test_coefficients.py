@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from stefansim.coefficients import (
     reaction,
     rho_linear,
     rho_tanh,
+    rho_zero,
     sigma_affine,
     sigma_zero,
     transport_direction,
@@ -154,6 +156,35 @@ def test_zero_families_are_shared():
     # one function per zero family, so drift_rows and diffusion_rows can skip it by identity
     assert mu_zero() is mu_zero()
     assert sigma_zero() is sigma_zero()
+
+
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_families_pickle_with_their_values():
+    # a resolved config goes to worker processes whole: every family round-trips
+    # with its parameters, bit for bit, and the zero families stay the shared function
+    x = np.linspace(-1.5, 1.5, 11)
+    x.setflags(write=False)  # like the grid's nodes, whose profile sigma_affine caches
+    v, vp = np.sin(3.0 * x), np.cos(2.0 * x) - 0.5
+    mus = (mu_zero(), mu_linear(0.3, -0.7), mu_saturated(2.0, 0.5), mu_quadratic(3.0))
+    sigmas = (sigma_zero(), sigma_affine(0.4, 0.3, 0.7), sigma_affine(additive=-1.2, width=2.5))
+    rhos = (rho_zero(), rho_linear(-0.8), rho_tanh(1.5, 0.3))
+    for mu in mus:
+        copy = pickle.loads(pickle.dumps(mu))
+        assert _bits(copy(x, v, vp)) == _bits(mu(x, v, vp))
+    for sigma in sigmas:
+        expected = sigma(x, v)  # fills the profile cache that is pickled along
+        copy = pickle.loads(pickle.dumps(sigma))
+        assert _bits(copy(x, v)) == _bits(expected) and _bits(copy(x.copy(), v)) == _bits(expected)
+    for rho, lip in rhos:
+        rho_copy, lip_copy = pickle.loads(pickle.dumps((rho, lip)))
+        for a, b in ((0.3, -0.2), (-1.7, 2.4), (5.0, 5.0)):
+            assert _bits(rho_copy(a, b)) == _bits(rho(a, b))
+        assert _bits(lip_copy(3.0)) == _bits(lip(3.0))
+    assert pickle.loads(pickle.dumps(mu_zero())) is mu_zero()
+    assert pickle.loads(pickle.dumps(sigma_zero())) is sigma_zero()
 
 
 def test_diffusion_multiplicative_boundary_decay(grid, ambient):

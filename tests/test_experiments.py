@@ -5,7 +5,9 @@ import itertools
 import json
 import math
 import os
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +312,48 @@ def test_process_pool_matches_serial(tmp_path):
             hashes.append({k: v for k, v in _dir_hashes(out).items() if k != "manifest.json"})
         assert hashes[0] == hashes[1]
         assert len(hashes[0]) == (16 if mode == "simulate" else 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_runs_write_where_the_resolved_config_says(tmp_path, monkeypatch, jobs):
+    # a config edited after resolve is the one a run steps and writes: every
+    # file lands in its out_dir, serially and through the process pool, and the
+    # directory that the raw mapping names is never made
+    monkeypatch.chdir(tmp_path)
+    elsewhere = tmp_path / "elsewhere"
+    for mode, run, files in (("simulate", run_simulate, 17), ("converge", run_converge, 2)):
+        raw = dict(base_raw("never_made", mode=mode), family=[4, 8, 16, "inf"])
+        run(replace(resolve(raw), out_dir=str(elsewhere / mode), jobs=jobs))
+        names = sorted(os.listdir(elsewhere / mode))
+        assert len(names) == files and "manifest.json" in names, names
+    assert sorted(os.listdir(tmp_path)) == ["elsewhere"]
+
+
+@pytest.mark.parametrize("name", ["example", "stefan"])
+def test_resolved_config_pickles(name):
+    # workers receive the resolved config itself: a round trip keeps every value
+    # it steps, bit for bit, and the grid's node arrays stay read-only
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.yaml"))
+    clone = pickle.loads(pickle.dumps(cfg))
+    for grid in (clone.grid, clone.operator.grid):
+        for nodes in (grid.nodes, grid.reflected_nodes):
+            assert not nodes.flags.writeable
+    x, v = clone.grid.nodes, np.sin(3.0 * cfg.grid.nodes)
+    vp = np.cos(cfg.grid.nodes)
+    a, b = cfg.model, clone.model
+    for mu in ("mu_plus", "mu_minus"):
+        assert getattr(a, mu)(cfg.grid.nodes, v, vp).tobytes() == getattr(b, mu)(x, v, vp).tobytes()
+    for sigma in ("sigma_plus", "sigma_minus"):
+        assert getattr(a, sigma)(cfg.grid.nodes, v).tobytes() == getattr(b, sigma)(x, v).tobytes()
+    for p, q in ((0.3, -0.2), (-1.7, 2.4)):
+        assert np.float64(a.rho(p, q)).tobytes() == np.float64(b.rho(p, q)).tobytes()
+    assert a.rho_lipschitz(2.0) == b.rho_lipschitz(2.0) and a.bounded == b.bounded
+    y = cfg.ambient.nodes
+    assert a.kernel.zeta(y[:, None], y).tobytes() == b.kernel.zeta(y[:, None], y).tobytes()
+    assert clone.initial.tobytes() == cfg.initial.tobytes() and clone.solve == cfg.solve
+    assert clone.operator.h2_weights.tobytes() == cfg.operator.h2_weights.tobytes()
+    assert (clone.grid, clone.ambient, clone.family, clone.seeds, clone.stefan) == (
+        cfg.grid, cfg.ambient, cfg.family, cfg.seeds, cfg.stefan)
 
 
 def test_write_table_matches_csv_writer(tmp_path):
@@ -767,7 +811,7 @@ def test_map_cells_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = resolve(dict(base_raw(tmp_path), jobs=16))
 
-    def cell(raw, n, seed):
+    def cell(cfg, n, seed):
         return (n, seed)
 
     args = [(4, 0), (4, 1), ("inf", 0)]

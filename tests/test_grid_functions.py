@@ -109,6 +109,28 @@ def test_window_mean_quadratic(grid):
         assert window_mean(grid, F, n) == pytest.approx(2.0 / (3.0 * n), abs=5.0 * grid.h**2)
 
 
+def test_window_mean_off_node():
+    # 1/n between two nodes: the partial last cell is interpolated linearly
+    grid = Grid(1.0, 127)
+    h = grid.h
+    linear, quadratic = pad(grid, lambda x: x), pad(grid, lambda x: x * x)
+
+    def quadratic_error(n):
+        """Error of the window mean of x^2, whose exact value is 2 / (3n), in units of h^2."""
+        return (window_mean(grid, quadratic, n) - 2.0 / (3.0 * n)) / (h * h)
+
+    for n in (3, 5, 6, 7, 10):
+        assert not (1.0 / n / h).is_integer()
+        assert window_mean(grid, linear, n) == pytest.approx(1.0, abs=1e-15)
+        # the trapezoid constant: 2 n^2 * (1/n) h^2 f'' / 12 = n h^2 / 3
+        assert quadratic_error(n) == pytest.approx(n / 3.0, rel=0.01)
+    # continuous in n through the node 1/4 = 32 h
+    for n in (3.9, 4.0, 4.1):
+        assert quadratic_error(n) == pytest.approx(n / 3.0, rel=0.01)
+    for n in (4.0 - 1e-6, 4.0 + 1e-6):
+        assert quadratic_error(n) == pytest.approx(quadratic_error(4.0), abs=1e-5)
+
+
 def test_window_mean_unresolved(grid):
     with pytest.raises(WindowUnresolved):
         window_mean(grid, np.zeros(grid.M + 2), 100)
