@@ -5,9 +5,10 @@ Every (n, seed) cell is an independent job keyed by its identity, so output
 is deterministic regardless of worker scheduling.  Every cell, serial or in
 a worker, receives the resolved config, which pickles; ``_map_cells`` runs
 the cells in order, or over ``jobs`` worker processes, never more than there
-are cells.  A convergence study runs one job per seed, whose members share
-each drawn increment; its report holds only the per-seed distances and
-derives the q-means, rows and slope.
+are cells.  A convergence study runs one job per seed, which holds its
+n = inf reference and one member at a time, all on each increment drawn once.
+Its report holds only the per-seed distances and derives the q-means, rows
+and a closed-form slope, so no run mode calls LAPACK.
 
 A run imports only what its mode calls: ``_map_cells`` imports the process
 pool (``concurrent.futures`` with ``multiprocessing``) only when it forks,
@@ -23,6 +24,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import cache
+from types import SimpleNamespace
 from typing import Dict, List
 
 import numpy as np
@@ -79,7 +81,9 @@ def _write_json(path: str, obj: dict):
 
 
 def _write_manifest(cfg: ExperimentConfig, extra: dict):
-    manifest = {"version": __version__, "config": cfg.raw, "warnings": cfg.warnings, **extra}
+    """``config`` is the mapping ``cfg`` was resolved from; ``run`` is what ran."""
+    run = {"out_dir": cfg.out_dir, "jobs": cfg.jobs, "seeds": cfg.seeds, "family": [_n_label(n) for n in cfg.family]}
+    manifest = {"version": __version__, "config": cfg.raw, "run": run, "warnings": cfg.warnings, **extra}
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 
@@ -93,20 +97,6 @@ def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(cell, cfg, *a) for a in args]
         return [f.result() for f in futures]
-
-
-class _SharedStream:
-    """``stream``, with each increment drawn once and that same array replayed to every later caller.
-
-    The members of an interface family on one seed read identical increments;
-    sharing the draw saves recomputing it per member.  The cache wraps the
-    bound method when the stream is made, so it calls ``NoiseStream.increment``
-    as it is at that moment.
-    """
-
-    def __init__(self, stream: NoiseStream):
-        self.seed = stream.seed
-        self.increment = cache(stream.increment)
 
 
 def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
@@ -198,11 +188,12 @@ class ConvergenceReport:
     @property
     def slope(self) -> float:
         """Least-squares slope of log q-mean H1 distance against log n; NaN below two members or at a non-finite log."""
-        xs = np.log([float(n) for n in self.family])
-        ys = np.log([max(self.q_mean(self.h1_dist, n), 1e-300) for n in self.family])
-        if len(self.family) >= 2 and np.all(np.isfinite(ys)):
-            return float(np.polyfit(xs, ys, 1)[0])
-        return math.nan
+        xs = [math.log(n) for n in self.family]
+        ys = [math.log(max(self.q_mean(self.h1_dist, n), 1e-300)) for n in self.family]
+        if len(xs) < 2 or not all(map(math.isfinite, ys)):
+            return math.nan
+        xm, ym = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        return math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / math.fsum((x - xm) ** 2 for x in xs)
 
     def rows(self):
         dists = (self.h1_dist, self.d2l2_dist, self.p_dist)
@@ -213,17 +204,12 @@ class ConvergenceReport:
 
 
 def _pair_distances(ref: Trajectory, traj: Trajectory):
-    """Sup-over-time distances on the common pre-exit recorded window."""
-
-    def usable(t: Trajectory) -> int:
-        k = len(t.values)
-        if t.exited:
-            k -= 1  # the crossing state lies outside the half-open survival window
-        return k
-
-    kmax = min(usable(ref), usable(traj))
+    """Sup-over-time distances on the common pre-exit recorded window, and whether either path exited."""
+    exited = bool(traj.exited or ref.exited)
+    # the crossing state lies outside the half-open survival window
+    kmax = min(len(ref.values) - ref.exited, len(traj.values) - traj.exited)
     if kmax == 0:
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, exited
     h = ref.grid.h
     diff = ref.values[:kmax] - traj.values[:kmax]
     V = padded(ref.grid, diff)
@@ -231,15 +217,19 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
     d_h1 = math.sqrt(np.max(sq_norm(V, h, "H1", axis=(1, 2))))
     d_d2 = math.sqrt(np.max(h * np.sum(g2 * g2, axis=(1, 2))))
     d_p = float(np.max(np.abs(diff[:, -1])))
-    return d_h1, d_d2, d_p
+    return d_h1, d_d2, d_p, exited
 
 
 def _converge_seed(cfg: ExperimentConfig, seed: int) -> dict:
-    """All family members for one seed, all driven by the identical increments, drawn once."""
-    stream = _SharedStream(NoiseStream(seed=seed))
-    trajs = {n: _solve_cell(cfg, n, stream) for n in cfg.family}
-    ref = trajs[INF]
-    return {n: (*_pair_distances(ref, t), bool(t.exited or ref.exited)) for n, t in trajs.items() if n != INF}
+    """Each finite member's ``_pair_distances`` to the n = inf reference for one seed.
+
+    Every member reads the seed's increments, each drawn once by the bound
+    ``NoiseStream.increment`` and replayed from a cache.  The reference is
+    solved first; each member is dropped once its distances are taken.
+    """
+    stream = SimpleNamespace(seed=seed, increment=cache(NoiseStream(seed=seed).increment))
+    ref = _solve_cell(cfg, INF, stream)
+    return {n: _pair_distances(ref, _solve_cell(cfg, n, stream)) for n in cfg.family if n != INF}
 
 
 def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:

@@ -54,6 +54,9 @@ class AmbientGrid:
         if not -math.inf < self.x_lo < self.x_hi < math.inf:
             raise ValueError(f"need a finite, nonempty ambient window, got [{self.x_lo}, {self.x_hi}]")
 
+    def __getstate__(self):
+        return {"x_lo": self.x_lo, "x_hi": self.x_hi, "J": self.J}  # as Grid's: not the cached nodes
+
     @property
     def dy(self) -> float:
         return (self.x_hi - self.x_lo) / (self.J - 1)

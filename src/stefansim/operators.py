@@ -105,6 +105,9 @@ class SpectralOperator:
         W.setflags(write=False)
         object.__setattr__(self, "h2_weights", W)
 
+    def __reduce__(self):
+        return SpectralOperator, (self.grid, self.eta_plus, self.eta_minus)  # rebuilt, so its arrays stay read-only
+
 
 def apply_A(op: SpectralOperator, x: np.ndarray) -> np.ndarray:
     """A x = (eta+ d2 u1 - u1, eta- d2 u2 - u2, -p) of the state row x = u1 | u2 | p."""

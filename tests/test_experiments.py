@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,11 @@ from stefansim.experiments import (
     run_stefan_oracle,
     stefan_front_coefficient,
 )
-from stefansim.experiments import lemma_suite
+from stefansim.coefficients import INF
+from stefansim.experiments import lemma_suite, runs
 from stefansim.experiments.config import _erfcx, parse_family, parse_seeds
 from stefansim.experiments.runs import ConvergenceReport, _write_table
+from stefansim.grids import window_resolved
 from stefansim.noise import NoiseStream
 
 
@@ -326,18 +329,25 @@ def test_runs_write_where_the_resolved_config_says(tmp_path, monkeypatch, jobs):
         run(replace(resolve(raw), out_dir=str(elsewhere / mode), jobs=jobs))
         names = sorted(os.listdir(elsewhere / mode))
         assert len(names) == files and "manifest.json" in names, names
+        # the manifest records what ran next to the mapping it was resolved from
+        manifest = json.loads((elsewhere / mode / "manifest.json").read_text())
+        assert manifest["run"] == {
+            "out_dir": str(elsewhere / mode), "jobs": jobs, "seeds": [0, 1], "family": ["4", "8", "16", "inf"]}
+        assert manifest["config"] == raw
     assert sorted(os.listdir(tmp_path)) == ["elsewhere"]
 
 
 @pytest.mark.parametrize("name", ["example", "stefan"])
 def test_resolved_config_pickles(name):
     # workers receive the resolved config itself: a round trip keeps every value
-    # it steps, bit for bit, and the grid's node arrays stay read-only
+    # it steps, bit for bit, and the node arrays and operator weights stay read-only
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.yaml"))
     clone = pickle.loads(pickle.dumps(cfg))
     for grid in (clone.grid, clone.operator.grid):
         for nodes in (grid.nodes, grid.reflected_nodes):
             assert not nodes.flags.writeable
+    assert not clone.ambient.nodes.flags.writeable
+    assert not clone.operator.h2_weights.flags.writeable
     x, v = clone.grid.nodes, np.sin(3.0 * cfg.grid.nodes)
     vp = np.cos(cfg.grid.nodes)
     a, b = cfg.model, clone.model
@@ -351,7 +361,8 @@ def test_resolved_config_pickles(name):
     y = cfg.ambient.nodes
     assert a.kernel.zeta(y[:, None], y).tobytes() == b.kernel.zeta(y[:, None], y).tobytes()
     assert clone.initial.tobytes() == cfg.initial.tobytes() and clone.solve == cfg.solve
-    assert clone.operator.h2_weights.tobytes() == cfg.operator.h2_weights.tobytes()
+    for weights in ("eigenvalues_plus", "eigenvalues_minus", "h2_weights"):
+        assert getattr(clone.operator, weights).tobytes() == getattr(cfg.operator, weights).tobytes()
     assert (clone.grid, clone.ambient, clone.family, clone.seeds, clone.stefan) == (
         cfg.grid, cfg.ambient, cfg.family, cfg.seeds, cfg.stefan)
 
@@ -492,6 +503,12 @@ def test_converge_smoke_and_zero_rho_collapse(tmp_path):
         assert max(rep2.p_dist[n]) == 0.0
 
 
+def _fsum_slope(xs, ys):
+    """The least-squares slope sum (x - x_bar)(y - y_bar) / sum (x - x_bar)^2, every sum a math.fsum."""
+    xm, ym = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    return math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / math.fsum((x - xm) ** 2 for x in xs)
+
+
 def test_convergence_report_derives_from_distances():
     # q = 2 means of (a, b) with a^2 + b^2 = 2 c^2 are exactly c; the report
     # keeps only the per-seed lists, so an edit to one shows in rows() and slope
@@ -507,12 +524,12 @@ def test_convergence_report_derives_from_distances():
         ["8", "0.078125", "2.125", "0.25", "1"],
         ["16", "0.015625", "0.625", "0", "0"],
     ]
-    xs = np.log([4.0, 8.0, 16.0])
-    assert rep.slope == float(np.polyfit(xs, np.log([13 / 64, 5 / 64, 1 / 64]), 1)[0])
+    xs = [math.log(4), math.log(8), math.log(16)]
+    assert rep.slope == _fsum_slope(xs, [math.log(13 / 64), math.log(5 / 64), math.log(1 / 64)])
 
     rep.h1_dist[16] = [7 / 64, 17 / 64]
     assert rep.rows()[2][1] == "0.203125"
-    assert rep.slope == float(np.polyfit(xs, np.log([13 / 64, 5 / 64, 13 / 64]), 1)[0])
+    assert rep.slope == _fsum_slope(xs, [math.log(13 / 64), math.log(5 / 64), math.log(13 / 64)])
     for gone in ("mean_h1", "mean_d2l2", "mean_p", "warnings", "finalize"):
         assert not hasattr(rep, gone), gone
 
@@ -533,6 +550,74 @@ def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch):
     rep = run_converge(cfg)
     assert not any(any(e) for e in rep.exploded.values())
     assert sorted(drawn) == [(s, k) for s in (0, 1) for k in range(cfg.solve.num_steps)]
+
+
+def test_converge_fits_its_slope_without_lapack(tmp_path, monkeypatch):
+    # the rate fit is closed-form: no run mode reaches LAPACK's least squares
+    def refused(*args, **kwargs):
+        raise AssertionError("the rate fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refused)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    rep = run_converge(resolve(dict(base_raw(tmp_path, mode="converge"), family=[4, 8, 16, "inf"])))
+    assert math.isfinite(rep.slope) and rep.slope < 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["slope"] == rep.slope
+
+
+def test_slope_matches_polyfit():
+    # random families and distances: the closed form is numpy's least-squares fit to round-off
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        family = sorted(rng.choice(np.arange(2, 200), size=rng.integers(2, 9), replace=False).tolist())
+        rate, seeds = rng.uniform(-3.0, -0.2), [0, 1, 2]
+        h1 = {n: (n ** rate * rng.uniform(0.5, 2.0, size=len(seeds))).tolist() for n in family}
+        rep = ConvergenceReport(family, seeds, 2, h1, h1, h1, {n: [False] * len(seeds) for n in family})
+        ys = np.log([rep.q_mean(h1, n) for n in family])
+        assert rep.slope == pytest.approx(float(np.polyfit(np.log(family), ys, 1)[0]), rel=1e-12, abs=0)
+
+
+def test_converge_holds_one_member_at_a_time(tmp_path, monkeypatch):
+    # a seed solves its n = inf reference first; when any member's solve
+    # starts, the reference is the only trajectory of the seed still alive
+    alive, starts = [], []
+    solve_cell = runs._solve_cell
+
+    def tracked(cfg, n, stream):
+        starts.append((n, [m for m, ref in alive if ref() is not None]))
+        traj = solve_cell(cfg, n, stream)
+        alive.append((n, weakref.ref(traj)))
+        return traj
+
+    monkeypatch.setattr(runs, "_solve_cell", tracked)
+    cfg = resolve(dict(base_raw(tmp_path, mode="converge"), family=[4, 8, 16, "inf"]))
+    for seed in (0, 1):
+        alive.clear()
+        runs._converge_seed(cfg, seed)
+    assert starts == [(INF, []), (4, [INF]), (8, [INF]), (16, [INF])] * 2
+
+
+def test_converge_off_the_dyadic_lattice(tmp_path):
+    # members whose window 1/n falls between nodes (n = 5, 6, 7 on h = 1/64)
+    # take the interpolated window; the q-mean H1 distances still fall
+    # strictly as n grows, through the dyadic neighbours n = 4 and n = 8
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
+    family = [4, 5, 6, 7, 8, "inf"]
+    cfg = resolve(dict(base, family=family, seeds="0..7", outputs=str(tmp_path)))
+    assert [(1.0 / n / cfg.grid.h).is_integer() for n in family[:-1]] == [True, False, False, False, True]
+    rep = run_converge(cfg)
+    means = [rep.q_mean(rep.h1_dist, n) for n in rep.family]
+    assert not any(any(e) for e in rep.exploded.values())
+    assert all(a > b for a, b in zip(means, means[1:])), means
+
+
+def test_psi_gap_off_the_dyadic_lattice():
+    # the interface gap check on run_suite's gap grid for the example config
+    # (M = 2047, where 1/64 >= 10 h), with members off the node lattice
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml"))
+    gap_grid = Grid(cfg.grid.L, 2047)
+    assert window_resolved(gap_grid, 64, 10.0) and not window_resolved(Grid(cfg.grid.L, 1023), 64, 10.0)
+    res = lemma_suite.check_psi_gap(np.random.default_rng(0), cfg.model, gap_grid, 200, gap_family=(5, 12, 40))
+    assert res.status == lemma_suite.PASS and res.worst <= res.allowed, res
 
 
 def test_stefan_front_coefficient():

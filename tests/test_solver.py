@@ -481,3 +481,32 @@ def test_front_order_in_time():
     print(line, file=sys.__stdout__, flush=True)
     REPORT_LINES.append(line)
     assert ok
+
+
+def test_initial_data_continuity_under_common_noise():
+    # The paper's solution map is continuous in the initial data as well as in
+    # the coefficients.  Scaling u by 1 + eps and shifting p by eps, on the
+    # same noise, moves the whole path by O(eps): expected order 1.
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml"))
+    epss, seeds = (1e-1, 1e-2, 1e-3, 1e-4), range(8)
+    orders = {}
+    for n in (8, INF):
+        scfg = replace(cfg.solve, n=n)
+        refs = [solve(cfg.operator, cfg.model, scfg, cfg.initial, NoiseStream(seed=s), cfg.ambient) for s in seeds]
+        rms = []
+        for eps in epss:
+            x0 = np.append(cfg.initial[:-1] * (1.0 + eps), cfg.initial[-1] + eps)
+            sq = 0.0
+            for seed, ref in zip(seeds, refs):
+                traj = solve(cfg.operator, cfg.model, scfg, x0, NoiseStream(seed=seed), cfg.ambient)
+                assert not traj.exited and not ref.exited
+                sq += max(state_norm(cfg.grid, x - y, "H1") for x, y in zip(ref.values, traj.values)) ** 2
+            rms.append(math.sqrt(sq / len(seeds)))
+        orders[n] = float(np.polyfit(np.log(epss), np.log(rms), 1)[0])
+    ok = all(order >= 0.9 for order in orders.values())
+    line = (f"INITIAL-DATA CONTINUITY: {'PASS' if ok else 'FAIL'} - fitted order {orders[8]:.3f} at n=8, "
+            f"{orders[INF]:.3f} at n=inf (>=0.9, expected 1) of RMS sup_t |X - X_eps|_H1 for "
+            f"u0 (1 + eps), p0 + eps, eps = {epss[0]:g}..{epss[-1]:g}, {len(seeds)} seeds on configs/example.yaml")
+    print(line, file=sys.__stdout__, flush=True)
+    REPORT_LINES.append(line)
+    assert ok
