@@ -9,7 +9,7 @@ spatial argument is -x and its slope argument carries the reflection sign.
 The zero families ``mu_zero`` and ``sigma_zero`` are one shared function
 each, so a term whose two phases are both that function is known to vanish
 by identity and is not evaluated: the drift then has no reaction part, and
-the diffusion draws and colors nothing.
+the diffusion reads no increment (``draws_noise``) and colors nothing.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import WindowUnresolved
 from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm, window_resolved
-from .noise import AmbientGrid, Kernel, check_window, color_field
+from .noise import AmbientGrid, Kernel, color_field
 
 __all__ = [
     "CoefficientSet",
@@ -32,6 +32,7 @@ __all__ = [
     "reaction",
     "interface_speed",
     "drift_rows",
+    "draws_noise",
     "diffusion_rows",
     "h_r",
     "psi_gap_bound",
@@ -159,32 +160,34 @@ def drift_rows(
     return out, psi + p
 
 
+def draws_noise(c: CoefficientSet) -> bool:
+    """Whether a step of c reads a noise increment: not when both sigma phases are the shared ``sigma_zero``."""
+    return not (c.sigma_plus is _sigma_zero and c.sigma_minus is _sigma_zero)
+
+
 def diffusion_rows(
     c: CoefficientSet,
     U: np.ndarray,
     p: float,
-    draw: Callable[[], np.ndarray],
+    dW: np.ndarray | None,
     ambient: AmbientGrid,
     grid: Grid,
     out=None,
-) -> Optional[np.ndarray]:
-    """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment; its p component is 0.
+) -> np.ndarray | None:
+    """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment dW (J,); its p component is 0.
 
-    ``draw()`` returns the increment dW (J,).  When both phases are the shared
-    ``sigma_zero`` function the product is zero whatever the increment: sigma
-    is not evaluated, nothing is drawn or colored, only the boundary is
-    checked against the window, and the result is None.  Any other sigma is
-    evaluated at the state and multiplies the colored increment.  The rows are
-    written into ``out`` (2, M) if given.
+    When ``draws_noise(c)`` is false the product is zero whatever dW is:
+    sigma is not evaluated, dW is not read and may be None, and the result is
+    None.  Any other sigma is evaluated at the state and multiplies the
+    colored increment.  The rows are written into ``out`` (2, M) if given.
     """
-    if c.sigma_plus is _sigma_zero and c.sigma_minus is _sigma_zero:
-        check_window(ambient, p, grid.L)
+    if not draws_noise(c):
         return None
     if out is None:
         out = np.empty((2, grid.M))
     out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
     out[1] = c.sigma_minus(grid.reflected_nodes, U[1, 1:-1])
-    out *= color_field(c.kernel, ambient, draw(), p, grid)
+    out *= color_field(c.kernel, ambient, dW, p, grid)
     return out
 
 
@@ -254,7 +257,7 @@ def _sigma_zero(x, v):
 
 
 def sigma_zero():
-    """The zero noise amplitude; every call returns the same function, which ``diffusion_rows`` skips."""
+    """The zero noise amplitude; every call returns the same function, which ``draws_noise`` tests for."""
     return _sigma_zero
 
 

@@ -183,15 +183,12 @@ def build_ambient(d: dict, grid: Grid, p0: float) -> AmbientGrid:
             raise ConfigError(f"ambient.{a} and ambient.{b} conflict; give one of them")
     if "x_lo" in d:
         x_lo, x_hi = _as_float(d["x_lo"], "ambient.x_lo"), _as_float(d["x_hi"], "ambient.x_hi")
-        pad = min(p0 - grid.L - x_lo, x_hi - p0 - grid.L)
-        if pad <= 0:
-            raise ConfigError("ambient window must cover [p0 - L, p0 + L] with positive pad")
+        keys, pad = "ambient.x_lo and ambient.x_hi", min(p0 - grid.L - x_lo, x_hi - p0 - grid.L)
     else:
-        pad = _as_float(d.get("pad", 1.0), "ambient.pad")
-        if pad <= 0:
-            raise ConfigError("ambient pad must be positive")
-        x_lo = p0 - grid.L - pad
-        x_hi = p0 + grid.L + pad
+        keys, pad = "ambient.pad", _as_float(d.get("pad", 1.0), "ambient.pad")
+        x_lo, x_hi = p0 - grid.L - pad, p0 + grid.L + pad
+    if pad <= 0:
+        raise ConfigError(f"{keys} must put the window a positive pad beyond [p0 - L, p0 + L], got pad {pad:g}")
     if "J" in d:
         J = _as_int(d["J"], "ambient.J")
     else:

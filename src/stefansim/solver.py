@@ -10,26 +10,26 @@ noise increment.
 A state is the row u1 | u2 | p (see ``grids``).  A ``_Path`` holds one
 trajectory: its step constants, its state as padded phases (2, M+2) plus the
 scalar p, and the buffers ``advance`` writes into, so a step allocates no
-array of the state's size.  ``advance`` steps the state through the array
-functions of ``coefficients`` and applies the cutoff of a truncated run.
-``solve`` loops it from an initial row and records rows; ``step`` runs it once
-from a row, which is how the lemma battery checks the cutoff that runs.
+array of the state's size.  ``advance`` steps the state by an increment
+array through the array functions of ``coefficients`` and applies the cutoff
+of a truncated run.  ``solve`` loops it from an initial row, records rows and
+decides the exits; ``step`` runs it once from a row, which is how the lemma
+battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import coefficients
-from .coefficients import CoefficientSet, TruncationSpec, diffusion_rows, drift_rows, transport_direction
-from .errors import BoundaryLeftWindow, NonFiniteState
+from .coefficients import CoefficientSet, TruncationSpec, diffusion_rows, draws_noise, drift_rows, transport_direction
+from .errors import NonFiniteState
 from .grids import Grid, interface_weights, padded, padded_state_norm
-from .noise import AmbientGrid, NoiseStream
+from .noise import AmbientGrid, NoiseStream, check_window
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
@@ -104,11 +104,12 @@ class _Path:
     each step.  ``Z`` is the spare row buffer and ``noise`` the noise rows.
     """
 
-    __slots__ = ("op", "c", "cfg", "ambient", "F", "fp", "w", "U", "Y", "Z", "noise", "g", "p", "nrm")
+    __slots__ = ("op", "c", "cfg", "ambient", "draws", "F", "fp", "w", "U", "Y", "Z", "noise", "g", "p", "nrm")
 
     def __init__(self, op: SpectralOperator, c: CoefficientSet, cfg: SolveConfig, ambient: AmbientGrid, x):
         grid = op.grid
         self.op, self.c, self.cfg, self.ambient = op, c, cfg, ambient
+        self.draws = draws_noise(c)
         self.F, self.fp = semigroup_factors(op, cfg.dt)
         self.w = interface_weights(grid, cfg.n)
         self.U = U = padded(grid, x)
@@ -123,24 +124,27 @@ class _Path:
         """The current state as a row u1 | u2 | p."""
         return np.append(self.Y, self.p)
 
-    def advance(self, draw):
-        """One step of exponential Euler; ``draw()`` returns the noise increment dW.
+    @property
+    def finite(self) -> bool:
+        # a finite modal sum bounds every sine mode below about 1e154, so the
+        # inverse DST has finite entries, and p is finite with the norm
+        return math.isfinite(self.nrm) or bool(np.isfinite(self.Y).all() and math.isfinite(self.p))
 
-        The cutoff factor is evaluated once from ``nrm`` and scales drift and
-        diffusion.  ``draw`` is not called when both sigma phases are the
-        shared zero noise.  The semigroup turns the drift in ``Z`` into the
-        next ``Y`` in place, which is copied into ``U``: a
-        ``BoundaryLeftWindow`` is raised before that, and the old padded
-        state is dead once it has been read.  The new norm sqrt(h (s + g.g)
-        + p^2) takes the modal sum s from ``apply_factors``.  A norm that is
-        not finite is followed by an entrywise check; a non-finite entry
-        raises NonFiniteState and leaves the path unfit for another step.
+    def advance(self, dW: Optional[np.ndarray]):
+        """One step of exponential Euler by the noise increment dW (J,), None where ``draws`` is false.
+
+        The caller has checked that the window covers the boundary.  The
+        cutoff factor is evaluated once from ``nrm`` and scales drift and
+        diffusion.  The semigroup turns the drift in ``Z`` into the next ``Y``
+        in place, which is copied into ``U``: the old padded state is dead
+        once it has been read.  The new norm sqrt(h (s + g.g) + p^2) takes the
+        modal sum s from ``apply_factors``; the caller checks ``finite``.
         """
         op, c, cfg = self.op, self.c, self.cfg
         grid = op.grid
         U, Y, p = self.U, self.Y, self.p
         drift, drift_p = drift_rows(c, U, p, self.g, self.w, grid, self.Z, Y)
-        noise = diffusion_rows(c, U, p, draw, self.ambient, grid, self.noise)
+        noise = diffusion_rows(c, U, p, dW, self.ambient, grid, self.noise)
         if cfg.truncation is not None:
             # looked up on the module so that a wrapper of coefficients.h_r sees the call
             f = coefficients.h_r(cfg.truncation, self.nrm**2)
@@ -158,12 +162,8 @@ class _Path:
         p = self.fp * (p + cfg.dt * drift_p)
         h = grid.h
         g = transport_direction(U, h, self.g)
-        nrm = math.sqrt(h * (s + np.vdot(g, g)) + p * p)
-        # a finite modal sum bounds every sine mode below about 1e154, so the
-        # inverse DST has finite entries, and p is finite with the norm
-        if not math.isfinite(nrm) and not (np.isfinite(Y).all() and math.isfinite(p)):
-            raise NonFiniteState("non-finite state after a step")
-        self.Y, self.Z, self.p, self.nrm = Y, self.Y, p, nrm
+        self.Y, self.Z, self.p = Y, self.Y, p
+        self.nrm = math.sqrt(h * (s + np.vdot(g, g)) + p * p)
 
 
 def step(
@@ -179,10 +179,14 @@ def step(
     It reproduces the row ``solve`` steps to bit for bit, except possibly in
     the cutoff band r^2 < |x|^2 < (r+1)^2 of a truncated run: there the
     cutoff factor reads the norm of x from differences, where ``solve`` read
-    it from the previous step's sine modes, at most about 1e-15 apart.
+    it from the previous step's sine modes, at most about 1e-15 apart.  Where
+    ``solve`` exits it raises BoundaryLeftWindow or NonFiniteState.
     """
     path = _Path(op, c, cfg, ambient, x)
-    path.advance(lambda: dW)
+    check_window(ambient, path.p, op.grid.L)
+    path.advance(dW)
+    if not path.finite:
+        raise NonFiniteState("non-finite state after a step")
     return path.row
 
 
@@ -218,15 +222,14 @@ def solve(
     exit_event: Optional[ExitEvent] = None
     last = cfg.num_steps - 1
     for k in range(cfg.num_steps):
-        t_next = (k + 1) * cfg.dt
-        try:
-            path.advance(partial(stream.increment, k, cfg.dt, ambient))
-        except NonFiniteState:
-            exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
-            break
-        except BoundaryLeftWindow:
+        if not ambient.covers(path.p, op.grid.L):
             exit_event = ExitEvent(step=k, time=k * cfg.dt, threshold=math.inf, kind="window")
             record(k * cfg.dt)
+            break
+        path.advance(stream.increment(k, cfg.dt, ambient) if path.draws else None)
+        t_next = (k + 1) * cfg.dt
+        if not path.finite:
+            exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")
             break
         norms.append(path.nrm)
         if (k + 1) % cfg.record_every == 0 or k == last:

@@ -18,6 +18,7 @@ from stefansim import (
 from stefansim.coefficients import (
     INF,
     diffusion_rows,
+    draws_noise,
     drift_rows,
     interface_speed,
     mu_linear,
@@ -144,12 +145,12 @@ def test_drift_cutoff_support(grid, ambient):
 
 def test_diffusion_zero_sigma(grid, ambient):
     model = make_model(ambient)
-
-    def draw():
-        raise AssertionError("a noise-free step drew an increment")
-
-    # zero sigma rows: the product is zero and None stands for it, without a draw
-    assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, draw, ambient, grid) is None
+    assert not draws_noise(model)
+    assert draws_noise(make_model(ambient, sigma=sigma_affine(additive=0.3)))
+    # zero sigma rows: the product is zero and None stands for it, with no
+    # increment to read and no window to check, even with p far outside it
+    assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, None, ambient, grid) is None
+    assert diffusion_rows(model, padded(grid, zero(grid)), 1e3, None, ambient, grid) is None
 
 
 def test_zero_families_are_shared():
@@ -192,7 +193,7 @@ def test_diffusion_multiplicative_boundary_decay(grid, ambient):
     f = np.sin(np.pi * grid.nodes)
     X = row(f, np.zeros(grid.M), 0.0)
     inc = NoiseStream(seed=1).increment(0, 0.01, ambient)
-    out = diffusion_rows(model, padded(grid, X), X[-1], lambda: inc, ambient, grid)
+    out = diffusion_rows(model, padded(grid, X), X[-1], inc, ambient, grid)
     # first interior node value inherits the O(h) smallness of u1 there
     assert abs(out[0, 0]) <= abs(f[0]) * np.max(np.abs(inc)) * 10.0
     assert np.max(np.abs(out[1])) == 0.0

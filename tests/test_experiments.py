@@ -191,6 +191,10 @@ def test_config_validation(tmp_path):
         # the window comes from x_lo/x_hi or from pad, the nodes from J or from dy
         (None, "ambient", {"x_lo": -4.0, "x_hi": 4.0, "pad": 100.0}, "ambient.x_lo and ambient.pad"),
         ("ambient", "J", 7, "ambient.J and ambient.dy"),
+        # the window must cover [p0 - L, p0 + L] = [-1, 1] with room to spare, and dy must be positive
+        ("ambient", "pad", 0.0, "ambient.pad"),
+        (None, "ambient", {"x_lo": -1.0, "x_hi": 3.0}, "ambient.x_lo and ambient.x_hi"),
+        ("ambient", "dy", 0.0, "ambient.dy"),
         # a zero or negative width and a zero mode would give a zero initial
         # state or silently turn the additive noise off
         (None, "initial", {"kind": "bump", "width": 0.0}, "initial.width"),
@@ -207,6 +211,13 @@ def test_config_validation(tmp_path):
         (raw if section is None else raw[section])[key] = value
         with pytest.raises(ConfigError, match=re.escape(named)):
             resolve(raw)
+
+    # the window from its ends, the nodes from J or from the default dy = 0.05
+    raw = base_raw(tmp_path)
+    raw["ambient"] = {"x_lo": -3.5, "x_hi": 3.5, "J": 141}
+    assert resolve(raw).ambient == AmbientGrid(-3.5, 3.5, 141)
+    raw["ambient"] = {"x_lo": -3.5, "x_hi": 3.5}
+    assert resolve(raw).ambient.J == 141
 
     # a stefan section without a similarity front fails in resolve, naming the key
     for stefan, named in (
@@ -824,6 +835,39 @@ def test_lemma_suite_degenerate_example(tmp_path, change, capsys):
     if change == "rho_zero":
         assert float(rows["psi_uniform_lipschitz"][2]) == 0.0
         assert float(rows["psi_gap_bound"][2]) == 0.0
+
+
+def test_lemma_suite_narrow_noise_window(tmp_path):
+    # a window 0.3 wider than [-L, L] on each side: the truncation check steps
+    # only the samples whose boundary the window covers, and the battery
+    # gives its 17 rows instead of stopping at BoundaryLeftWindow
+    path = os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")
+    raw = load_config(path).raw
+    raw = dict(raw, mode="lemma-suite", ambient=dict(raw["ambient"], pad=0.3), outputs=str(tmp_path))
+    cfg = resolve(raw)
+    rows = run_lemma_suite(cfg)
+    assert len(rows) == 17 and not [r for r in rows if r.status == lemma_suite.FAIL], rows
+    assert {r.name: r.status for r in rows}["truncation_support"] == lemma_suite.PASS
+    with open(tmp_path / "lemma_suite.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 18
+    # a window that covers no sampled boundary leaves nothing to step
+    far = AmbientGrid(10.0, 20.0, 41)
+    row = lemma_suite.check_truncation_support(np.random.default_rng(0), cfg.model, cfg.operator, far, 40, cfg.family)
+    assert (row.status, row.detail) == (lemma_suite.SKIP, "no sampled boundary inside the noise window")
+
+
+def test_brownian_variance_passes_a_correct_coloring():
+    # over 4,000 paths the ratio's standard deviation was 0.044 and rng seeds
+    # 154 and 158 read 0.109 and 0.102 against the allowance 0.1; over 16,000 it is 0.022
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml"))
+    for seed in (154, 158):
+        row = lemma_suite.check_brownian_variance(np.random.default_rng(seed), cfg.model, cfg.ambient)
+        assert row.status == lemma_suite.PASS and row.worst < 0.05, row
+    # the extra paths come from a spawned generator: the battery's stream goes on as after 4,000 paths
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    lemma_suite.check_brownian_variance(rng, cfg.model, cfg.ambient)
+    ref.standard_normal((2 * 4000, cfg.ambient.J))
+    assert rng.integers(2**32) == ref.integers(2**32)
 
 
 @pytest.mark.parametrize("name", ["example", "stefan"])

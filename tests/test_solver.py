@@ -161,10 +161,12 @@ def _step_case(case):
     if case == "noise-free":
         # as in stefan-oracle: zero sigma, linear rho, no truncation
         raw["model"] = dict(base["model"], sigma={"name": "zero"}, rho={"name": "linear", "rho0": 1.0})
-    elif case == "window":
+    elif case in ("window", "noise-free-window"):
         # strong transport out of a narrow window: a "window" exit after a few steps
         raw["model"] = dict(base["model"], rho={"name": "linear", "rho0": 20.0})
         raw["ambient"] = dict(base["ambient"], pad=0.05)
+        if case == "noise-free-window":
+            raw["model"]["sigma"] = {"name": "zero"}
     c = resolve(raw)
     assert c.solve.truncation is not None
     n = case if case in (8, INF) else INF
@@ -174,15 +176,17 @@ def _step_case(case):
     return c.operator, c.model, cfg, c.initial, c.ambient
 
 
-@pytest.mark.parametrize("case", [8, INF, "noise-free", "window"])
+@pytest.mark.parametrize("case", [8, INF, "noise-free", "window", "noise-free-window"])
 def test_step_is_solves_step(case):
     # one step from every recorded state, with the increment solve drew for
     # it, reproduces the next recorded state bit for bit; from the state that
-    # left the window, a step raises as the solve loop's step did
+    # left the window, a step raises where the solve loop exited, with noise
+    # or without
     op, model, cfg, x0, ambient = _step_case(case)
+    window = case in ("window", "noise-free-window")
     stream = NoiseStream(seed=0)
     traj = solve(op, model, cfg, x0, stream, ambient)
-    if case == "window":
+    if window:
         assert traj.exited and traj.exit.kind == "window" and 0 < traj.exit.step < 20
     else:
         assert not traj.exited
@@ -191,7 +195,7 @@ def test_step_is_solves_step(case):
     for k in range(steps):
         inc = stream.increment(k, cfg.dt, ambient)
         assert np.array_equal(step(op, model, cfg, traj.values[k], inc, ambient), traj.values[k + 1])
-    if case == "window":
+    if window:
         with pytest.raises(BoundaryLeftWindow):
             step(op, model, cfg, traj.values[-1], stream.increment(steps, cfg.dt, ambient), ambient)
 
