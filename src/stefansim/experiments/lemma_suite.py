@@ -323,14 +323,15 @@ def check_truncation_support(rng, model, op, ambient, samples, family):
     ns = _resolvable(grid, family) or [INF]
     spec = TruncationSpec(1.0)
     dt = 1e-3
-    stream = NoiseStream(seed=12345)
+    count = min(samples, 40)
+    increments = NoiseStream(seed=12345).block(0, count, dt, ambient) if count else ()
     gaps = []
-    for i in range(min(samples, 40)):
+    for i in range(count):
         X = smooth_state(rng, grid, decay=2.0)
         s = state_norm(grid, X, "H2")
         if s == 0:
             continue
-        dW = stream.increment(i, dt, ambient)
+        dW = increments[i]
         plain = SolveConfig(dt=dt, T=dt, n=ns[i % len(ns)])
         cut = SolveConfig(dt=dt, T=dt, n=plain.n, truncation=spec)
         # outside the ball: scale the phases only, so the boundary stays near 0

@@ -6,9 +6,10 @@ is deterministic regardless of worker scheduling.  Every cell, serial or in
 a worker, receives the resolved config, which pickles; ``_map_cells`` runs
 the cells in order, or over ``jobs`` worker processes, never more than there
 are cells.  A convergence study runs one job per seed, which holds its
-n = inf reference and one member at a time, all on each increment drawn once.
-Its report holds only the per-seed distances and derives the q-means, rows
-and a closed-form slope, so no run mode calls LAPACK.
+n = inf reference and one member at a time, all on the seed's blocks of
+increments, each drawn once.  Its report holds only the per-seed distances
+and derives the q-means, rows and a closed-form slope, so no run mode calls
+LAPACK.
 
 A run imports only what its mode calls: ``_map_cells`` imports the process
 pool (``concurrent.futures`` with ``multiprocessing``) only when it forks,
@@ -33,7 +34,7 @@ from .. import __version__
 from ..coefficients import INF
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
-from ..solver import Trajectory, solve
+from ..solver import _CHUNK, Trajectory, solve
 from ..transform import F_transform
 from .config import ExperimentConfig, resolve  # noqa: F401, the benchmark calls and traces runs.resolve
 
@@ -124,9 +125,11 @@ def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
 
 
 def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
-    stream = NoiseStream(seed=seed)
-    rows = [stream.increment(k, cfg.solve.dt, cfg.ambient) for k in range(cfg.solve.num_steps)]
-    np.asarray(rows, dtype=np.float64).tofile(path)
+    """The seed's num_steps increments as float64 rows, written a block of ``solve``'s chunk size at a time."""
+    stream, steps = NoiseStream(seed=seed), cfg.solve.num_steps
+    with open(path, "wb") as fh:
+        for k in range(0, steps, _CHUNK):
+            stream.block(k, min(_CHUNK, steps - k), cfg.solve.dt, cfg.ambient).tofile(fh)
 
 
 def _simulate_cell(cfg: ExperimentConfig, n, seed: int) -> dict:
@@ -223,11 +226,12 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
 def _converge_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Each finite member's ``_pair_distances`` to the n = inf reference for one seed.
 
-    Every member reads the seed's increments, each drawn once by the bound
-    ``NoiseStream.increment`` and replayed from a cache.  The reference is
-    solved first; each member is dropped once its distances are taken.
+    Every member asks ``solve`` for the same blocks of the seed's
+    increments, each drawn once by the bound ``NoiseStream.block`` and
+    replayed from a cache.  The reference is solved first; each member is
+    dropped once its distances are taken.
     """
-    stream = SimpleNamespace(seed=seed, increment=cache(NoiseStream(seed=seed).increment))
+    stream = SimpleNamespace(seed=seed, block=cache(NoiseStream(seed=seed).block))
     ref = _solve_cell(cfg, INF, stream)
     return {n: _pair_distances(ref, _solve_cell(cfg, n, stream)) for n in cfg.family if n != INF}
 

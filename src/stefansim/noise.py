@@ -21,6 +21,7 @@ Where those factors could grow large enough to cost accuracy (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -111,27 +112,123 @@ def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
     return kernel
 
 
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit LCG multiplier.
+# NEP 19 keeps both algorithms stable; the tests pin ``block`` against them.
+_MASK32, _MASK128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_consts(init: int, mult: int, t: int, n: int) -> list:
+    """init * mult^i mod 2^32 for i = t .. t + n: the hash call number i reads constants i and i + 1."""
+    c = init * pow(mult, t, 1 << 32) & _MASK32
+    out = [c]
+    for _ in range(n):
+        c = c * mult & _MASK32
+        out.append(c)
+    return out
+
+
+# SeedSequence's hashmix and mix, on Python ints or elementwise on uint32 arrays
+def _hashmix(value, c0, c1):
+    v = (value ^ c0) * c1 & _MASK32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    v = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return v ^ v >> 16
+
+
+def _word_shifts(n: int) -> range:
+    """The shifts of the nonnegative int n's 32-bit words, least significant first; 0 has one word."""
+    return range(0, max(n.bit_length(), 1), 32)
+
+
+# generate_state's constants, one column per output word
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 0, 8), dtype=np.uint32)[:, None]
+
+
 @dataclass(frozen=True)
 class NoiseStream:
     """Deterministic noise source of one seed, replayable by step index.
 
     The same (seed, step_index) always yields the same increment,
     independently of how many steps were consumed before; this is what lets
-    every member of the interface family n see the identical noise.
+    every member of the interface family n see the identical noise.  Step k's
+    increment has the bits of ``default_rng(SeedSequence(seed, spawn_key=(0,
+    k))).normal(0, sqrt(dt/dy), J)``; ``block`` computes the generator states
+    of many steps at once and draws them from one generator.
     """
 
     seed: int
 
-    def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
-        """The read-only (J,) increment dW of step ``step_index``: iid N(0, dt/dy) at the ambient nodes."""
+    @cached_property
+    def _pool(self):
+        """The seed's SeedSequence pool after every entropy word but the step index's, and the hashes taken.
+
+        A spawned sequence's entropy is the seed's words, zero-padded to the
+        pool size of 4, then the spawn key's words.  Only the step index's
+        words differ between steps, and they come last.
+        """
+        seed = operator.index(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        entropy = [seed >> s & _MASK32 for s in _word_shifts(seed)]
+        entropy += [0] * (4 - len(entropy)) + [0]  # the padding, then the spawn key's leading 0
+        # 4 hashes fill the pool, 12 mix it and 4 take in each further word
+        consts = _hash_consts(_INIT_A, _MULT_A, 0, 4 * len(entropy))
+        hashes = iter(zip(consts, consts[1:]))
+        pool = [_hashmix(w, *next(hashes)) for w in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
+        for w in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hashmix(w, *next(hashes)))
+        return pool, len(consts) - 1
+
+    def block(self, k0: int, K: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
+        """The read-only (K, J) array whose row i is the increment of step k0 + i: iid N(0, dt/dy) at the ambient nodes.
+
+        The SeedSequence mixing of the steps' words and ``generate_state(4,
+        uint64)`` run as uint32 array arithmetic over the block; each PCG64
+        is seeded from those words by its two LCG steps in Python ints, and
+        one generator draws every row from its state.
+        """
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        # the leading 0 of the spawn key is part of every increment's bits and of each _noise.bin
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, step_index))
-        rng = np.random.default_rng(ss)
-        dW = rng.normal(0.0, math.sqrt(dt / ambient.dy), ambient.J)
-        dW.setflags(write=False)
-        return dW
+        if k0 < 0 or K < 1:
+            raise ValueError(f"need a step index >= 0 and at least one step, got k0={k0}, K={K}")
+        seed_pool, t = self._pool
+        pool = np.array(seed_pool, dtype=np.uint32)[:, None]
+        steps = range(k0, k0 + K)
+        for w, s in enumerate(_word_shifts(steps[-1])):
+            word = np.array([k >> s & _MASK32 for k in steps], dtype=np.uint32)
+            c = np.array(_hash_consts(_INIT_A, _MULT_A, t + 4 * w, 4), dtype=np.uint32)[:, None]
+            mixed = _mix(pool, _hashmix(word, c[:-1], c[1:]))
+            # a step index has word w only from 2^s on, and a block may cross that
+            pool = mixed if s == 0 else np.where(np.arange(K) >= (1 << s) - k0, mixed, pool)
+        words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_CONSTS[:-1], _STATE_CONSTS[1:]).astype(np.uint64)
+        seeds = words[0::2] | words[1::2] << 32  # little-endian pairs: seed high, low, increment high, low
+
+        gen = np.random.Generator(np.random.PCG64(0))  # its state is replaced before each draw
+        bits, scale = gen.bit_generator, math.sqrt(dt / ambient.dy)
+        out = np.empty((K, ambient.J))
+        for i, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeds.T.tolist()):
+            # pcg64_set_seed: from state 0, one LCG step, add the seed, one more step
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            out[i] = gen.normal(0.0, scale, ambient.J)
+        out.setflags(write=False)
+        return out
+
+    def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
+        """The read-only (J,) increment dW of step ``step_index``: the one row of ``block(step_index, 1, dt, ambient)``."""
+        return self.block(step_index, 1, dt, ambient)[0]
 
 
 def color_at(kernel: Kernel, ambient: AmbientGrid, dW: np.ndarray, x):

@@ -13,8 +13,9 @@ scalar p, and the buffers ``advance`` writes into, so a step allocates no
 array of the state's size.  ``advance`` steps the state by an increment
 array through the array functions of ``coefficients`` and applies the cutoff
 of a truncated run.  ``solve`` loops it from an initial row, records rows and
-decides the exits; ``step`` runs it once from a row, which is how the lemma
-battery checks the cutoff that runs.
+decides the exits; a path that draws takes its increments from the stream's
+``block`` in chunks of ``_CHUNK`` steps.  ``step`` runs it once from a row,
+which is how the lemma battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .noise import AmbientGrid, NoiseStream, check_window
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
+
+# Steps whose increments ``solve`` draws as one ``NoiseStream.block``: the
+# rows held at a time, and the block keys every path of a seed shares.
+_CHUNK = 256
 
 # Relative tolerance on T/dt being a whole number of steps: admits the rounding
 # of decimal inputs such as 0.25/2e-3 = 125.00000000000001.
@@ -190,6 +195,8 @@ def step(
     return path.row
 
 
+# an exploding state overflows on its way to the "nonfinite" exit, which reports it
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     op: SpectralOperator,
     c: CoefficientSet,
@@ -209,6 +216,10 @@ def solve(
     ``record_every`` divides the number of steps.  With truncated
     coefficients the drift and diffusion are bounded, so runs only stop early
     at the explosion radius if that radius was set inside the cutoff ball.
+
+    ``stream`` needs only ``block(k0, K, dt, ambient)``, asked for the
+    chunks ``k0 = 0, _CHUNK, ...`` of ``min(_CHUNK, steps left)`` rows and
+    only by a path whose model draws.
     """
     path = _Path(op, c, cfg, ambient, x0)
     times, rows, norms = [], [], [path.nrm]
@@ -221,12 +232,17 @@ def solve(
     record(0.0)
     exit_event: Optional[ExitEvent] = None
     last = cfg.num_steps - 1
+    dW = None
     for k in range(cfg.num_steps):
         if not ambient.covers(path.p, op.grid.L):
             exit_event = ExitEvent(step=k, time=k * cfg.dt, threshold=math.inf, kind="window")
             record(k * cfg.dt)
             break
-        path.advance(stream.increment(k, cfg.dt, ambient) if path.draws else None)
+        if path.draws:
+            if k % _CHUNK == 0:
+                chunk = stream.block(k, min(_CHUNK, cfg.num_steps - k), cfg.dt, ambient)
+            dW = chunk[k % _CHUNK]
+        path.advance(dW)
         t_next = (k + 1) * cfg.dt
         if not path.finite:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")

@@ -1,10 +1,19 @@
-"""Reference maps that only the tests use: the inverse of F and the semigroup smoothing pair."""
+"""Reference maps that only the tests use: the inverse of F, the semigroup
+smoothing pair and numpy's own draw of one noise increment."""
+
+import math
 
 import numpy as np
 
 from stefansim import SpectralOperator, semigroup, state_norm
 from stefansim.errors import StefansimError
 from stefansim.grids import Grid
+
+
+def seed_sequence_increment(seed: int, k: int, dt: float, ambient) -> np.ndarray:
+    """Step k's increment as numpy draws it: a fresh SeedSequence, PCG64 and Generator for (seed, k)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, k))
+    return np.random.default_rng(ss).normal(0.0, math.sqrt(dt / ambient.dy), ambient.J)
 
 
 class InterfaceNotZero(StefansimError):

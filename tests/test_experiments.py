@@ -7,6 +7,8 @@ import math
 import os
 import pickle
 import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -546,15 +548,16 @@ def test_convergence_report_derives_from_distances():
 
 
 def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch):
-    # four members on each of two seeds read one shared draw per (seed, step)
+    # four members on each of two seeds read one shared draw per (seed, step):
+    # the steps of every row a block returns are counted
     drawn = []
-    increment = NoiseStream.increment
+    block = NoiseStream.block
 
-    def counted(self, k, dt, ambient):
-        drawn.append((self.seed, k))
-        return increment(self, k, dt, ambient)
+    def counted(self, k0, K, dt, ambient):
+        drawn.extend((self.seed, k) for k in range(k0, k0 + K))
+        return block(self, k0, K, dt, ambient)
 
-    monkeypatch.setattr(NoiseStream, "increment", counted)
+    monkeypatch.setattr(NoiseStream, "block", counted)
     raw = base_raw(tmp_path, mode="converge")
     raw["family"] = [4, 8, 16, "inf"]
     cfg = resolve(raw)
@@ -1004,6 +1007,35 @@ def test_cli_converge_warns_when_pairs_exit(tmp_path, capsys):
     cfg_path.write_text(yaml.safe_dump(shipped))
     assert main(argv) == 0
     assert "warning:" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["simulate", "converge"])
+def test_cli_exploding_run_prints_only_its_own_warnings(tmp_path, mode):
+    # every path of the exploding example overflows on its way to a
+    # "nonfinite" exit; the run reports that, and numpy's overflow warnings,
+    # which name a source line of the package, do not reach stderr
+    import stefansim
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["model"]["mu"] = {"name": "quadratic", "coeff": 400}
+    raw["solve"]["truncation_r"] = math.inf
+    raw["solve"]["R_max"] = math.inf
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    src = os.path.dirname(os.path.dirname(stefansim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "stefansim", mode, "--config", str(cfg_path), "--seeds", "0..1", "--out", str(tmp_path / "out")]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert all(line.startswith("warning: ") for line in lines), done.stderr
+    assert "RuntimeWarning" not in done.stderr and src not in done.stderr
+    if mode == "simulate":
+        metas = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*_exit.json")]
+        assert len(metas) == 10 and all(m["exit"]["kind"] == "nonfinite" for m in metas)
+    else:
+        assert lines and lines[-1].startswith("warning: 8 of 8 (n, seed) pairs exited before T")
 
 
 def test_cli_bad_config(tmp_path, capsys):

@@ -9,6 +9,9 @@ from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, gaussian_kernel
 from stefansim import noise
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.noise import _gaussian_factors, color_at, color_field
+from stefansim.solver import _CHUNK
+
+from oracles import seed_sequence_increment
 
 
 @pytest.fixture
@@ -30,6 +33,36 @@ def test_ambient_validation():
 def test_increment_rejects_zero_dt(ambient):
     with pytest.raises(ValueError):
         NoiseStream(seed=0).increment(0, 0.0, ambient)
+
+
+# seeds of one word (0, 1, 2^32 - 1), two (2^32, 2^63), three, four (no
+# padding) and five (a word past the pool)
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 7, 2**96 + 5, 2**128 + 1])
+def test_block_has_the_bits_of_seed_sequence(seed, ambient):
+    # numpy's Generator.normal is outside NEP 19's stability promise, so the
+    # reference is drawn by the installed numpy every time
+    stream, dt = NoiseStream(seed), 1e-3
+    # the first steps, both sides of 2^16, one block across 2^32 (where the
+    # step index gains a word), one row, and more rows than a solve chunk
+    for k0, K in ((0, 3), (2**16 - 2, 4), (2**32 - 2, 4), (12345, 1), (0, _CHUNK + 3)):
+        block = stream.block(k0, K, dt, ambient)
+        assert block.shape == (K, ambient.J) and not block.flags.writeable
+        for i in range(K):
+            assert np.array_equal(block[i], seed_sequence_increment(seed, k0 + i, dt, ambient)), (k0, i)
+        assert np.array_equal(stream.increment(k0, dt, ambient), block[0])
+
+
+def test_block_rejects_what_seed_sequence_rejects(ambient):
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    for draw in (lambda s: s.block(0, 2, 1e-3, ambient), lambda s: s.increment(0, 1e-3, ambient)):
+        with pytest.raises(ValueError):
+            draw(NoiseStream(-1))
+    for dt in (0.0, -1e-3):
+        with pytest.raises(ValueError):
+            NoiseStream(0).block(0, 2, dt, ambient)
+    with pytest.raises(ValueError):
+        NoiseStream(0).block(-1, 2, 1e-3, ambient)
 
 
 def test_increment_variance(ambient):

@@ -34,9 +34,10 @@ from stefansim.coefficients import (
 from stefansim.experiments import load_config, resolve
 from stefansim.grids import interface_weights, padded
 from stefansim.errors import BoundaryLeftWindow
-from stefansim.solver import ExitEvent, Trajectory
+from stefansim.solver import _CHUNK, ExitEvent, Trajectory
 
 from conftest import make_model
+from oracles import seed_sequence_increment
 
 REPORT_LINES = []
 
@@ -332,16 +333,17 @@ def test_noise_free_step_draws_nothing(grid, ambient):
     # zero sigma: the product with the increment is zero whatever it is, so a
     # step neither draws nor colors one, and a NaN increment cannot leak in
     class NanStream:
-        def increment(self, k, dt_, amb):
-            return np.full(amb.J, np.nan)
+        def block(self, k0, K, dt_, amb):
+            return np.full((K, amb.J), np.nan)
 
     class CountingStream:
+        # calls counts the steps whose increments were drawn
         def __init__(self, stream):
             self.stream, self.calls = stream, 0
 
-        def increment(self, k, dt_, amb):
-            self.calls += 1
-            return self.stream.increment(k, dt_, amb)
+        def block(self, k0, K, dt_, amb):
+            self.calls += K
+            return self.stream.block(k0, K, dt_, amb)
 
     model = make_model(ambient, rho=rho_linear(0.5))
     op = SpectralOperator(grid, 1.0, 1.0)
@@ -359,6 +361,30 @@ def test_noise_free_step_draws_nothing(grid, ambient):
     counted = CountingStream(NoiseStream(seed=0))
     traj = solve(op, noisy, cfg, sine_state(grid), counted, ambient)
     assert counted.calls == cfg.num_steps == len(traj.norm_h2) - 1
+
+
+def test_solve_draws_the_bits_of_per_step_draws(grid, ambient):
+    # 600 steps span three of solve's blocks, the last one short; each step of
+    # the path is the one step from its state on the increment that numpy
+    # draws for that step alone
+    class Recording:
+        def __init__(self, stream):
+            self.stream, self.blocks = stream, []
+
+        def block(self, k0, K, dt_, amb):
+            self.blocks.append((k0, K))
+            return self.stream.block(k0, K, dt_, amb)
+
+    model = make_model(ambient, rho=rho_linear(0.5), sigma=sigma_affine(additive=0.3))
+    op = SpectralOperator(grid, 1.0, 1.0)
+    cfg = SolveConfig(dt=1e-4, T=0.06, n=8)
+    stream = Recording(NoiseStream(seed=3))
+    traj = solve(op, model, cfg, sine_state(grid), stream, ambient)
+    assert cfg.num_steps == 600 and stream.blocks == [(0, _CHUNK), (_CHUNK, _CHUNK), (2 * _CHUNK, 600 - 2 * _CHUNK)]
+    assert not traj.exited and len(traj.values) == 601
+    for k in range(cfg.num_steps):
+        dW = seed_sequence_increment(3, k, cfg.dt, ambient)
+        assert np.array_equal(step(op, model, cfg, traj.values[k], dW, ambient), traj.values[k + 1]), k
 
 
 def test_mild_vs_strong_identity(grid, ambient):
@@ -399,9 +425,9 @@ def test_strong_order_under_common_noise(ambient):
         def __init__(self, fine, ratio):
             self.fine, self.ratio = fine, ratio
 
-        def increment(self, k, dt_, amb):
+        def block(self, k0, K, dt_, amb):
             r = self.ratio
-            return sum(self.fine[k * r : (k + 1) * r])
+            return np.array([sum(self.fine[k * r : (k + 1) * r]) for k in range(k0, k0 + K)])
 
     sup_dist = np.zeros(halvings)
     for seed in seeds:
