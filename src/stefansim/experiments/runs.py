@@ -1,15 +1,15 @@
 """Batch run modes: single paths, convergence studies, the classical-front
 oracle and the property suite.
 
-Every (n, seed) cell is an independent job keyed by its identity, so output
-is deterministic regardless of worker scheduling.  Every cell, serial or in
-a worker, receives the resolved config, which pickles; ``_map_cells`` runs
-the cells in order, or over ``jobs`` worker processes, never more than there
-are cells.  A convergence study runs one job per seed, which holds its
-n = inf reference and one member at a time, all on the seed's blocks of
-increments, each drawn once.  Its report holds only the per-seed distances
-and derives the q-means, rows and a closed-form slope, so no run mode calls
-LAPACK.
+Both Monte Carlo modes run one cell per seed, an independent job keyed by
+its seed, so output is deterministic regardless of worker scheduling.  Every
+cell, serial or in a worker, receives the resolved config, which pickles;
+``_map_cells`` runs the seeds in order, or over ``jobs`` worker processes,
+never more than there are seeds.  A cell solves the seed's family on one
+stream, whose blocks of increments are each drawn once; a convergence cell
+holds its n = inf reference and one member at a time.  The convergence
+report holds only the per-seed distances and derives the q-means, rows and a
+closed-form slope, so no run mode calls LAPACK.
 
 A run imports only what its mode calls: ``_map_cells`` imports the process
 pool (``concurrent.futures`` with ``multiprocessing``) only when it forks,
@@ -88,16 +88,21 @@ def _write_manifest(cfg: ExperimentConfig, extra: dict):
     _write_json(os.path.join(cfg.out_dir, "manifest.json"), manifest)
 
 
-def _map_cells(cfg: ExperimentConfig, cell, args: list) -> list:
-    """``[cell(cfg, *a) for a in args]``, over ``min(cfg.jobs, len(args))`` worker processes if more than one."""
-    jobs = min(cfg.jobs, len(args))
+def _map_cells(cfg: ExperimentConfig, cell) -> list:
+    """``[cell(cfg, seed) for seed in cfg.seeds]``, over ``min(cfg.jobs, len(cfg.seeds))`` workers if more than one."""
+    jobs = min(cfg.jobs, len(cfg.seeds))
     if jobs <= 1:
-        return [cell(cfg, *a) for a in args]
+        return [cell(cfg, s) for s in cfg.seeds]
     from concurrent.futures import ProcessPoolExecutor  # with multiprocessing, only when a run forks
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(cell, cfg, *a) for a in args]
+        futures = [pool.submit(cell, cfg, s) for s in cfg.seeds]
         return [f.result() for f in futures]
+
+
+def _seed_stream(seed: int) -> SimpleNamespace:
+    """The seed's stream for every member: each block is drawn once by ``NoiseStream.block`` and then cached."""
+    return SimpleNamespace(seed=seed, block=cache(NoiseStream(seed=seed).block))
 
 
 def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
@@ -124,42 +129,39 @@ def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
     _write_table(path, ["x", "v"], np.column_stack((pts, F_transform(grid, x, pts))))
 
 
-def _dump_noise(path: str, cfg: ExperimentConfig, seed: int):
-    """The seed's num_steps increments as float64 rows, written a block of ``solve``'s chunk size at a time."""
-    stream, steps = NoiseStream(seed=seed), cfg.solve.num_steps
-    with open(path, "wb") as fh:
-        for k in range(0, steps, _CHUNK):
-            stream.block(k, min(_CHUNK, steps - k), cfg.solve.dt, cfg.ambient).tofile(fh)
-
-
-def _simulate_cell(cfg: ExperimentConfig, n, seed: int) -> dict:
-    traj = _solve_cell(cfg, n, NoiseStream(seed=seed))
-    label = _n_label(n)
-    base = os.path.join(cfg.out_dir, f"traj_n{label}_seed{seed}")
-    _write_trajectory_csv(base + ".csv", traj)
-    if cfg.profiles:
-        for k, x in enumerate(traj.values):
-            _write_profile_csv(base + f"_profile{k}.csv", traj.grid, x)
-    if cfg.dump_noise:
-        _dump_noise(base + "_noise.bin", cfg, seed)
-    meta = {
-        "n": label,
-        "seed": seed,
-        "exited": traj.exited,
-        "exit": None if traj.exit is None else asdict(traj.exit),
-        "final_time": float(traj.times[-1]),
-        "final_p": float(traj.values[-1, -1]),
-    }
-    _write_json(base + "_exit.json", meta)
-    return meta
+def _simulate_seed(cfg: ExperimentConfig, seed: int) -> List[dict]:
+    """Every member's path on the seed's one stream, in family order, each with its files and exit metadata."""
+    stream, metas = _seed_stream(seed), []
+    for n in cfg.family:
+        traj = _solve_cell(cfg, n, stream)
+        label = _n_label(n)
+        base = os.path.join(cfg.out_dir, f"traj_n{label}_seed{seed}")
+        _write_trajectory_csv(base + ".csv", traj)
+        if cfg.profiles:
+            for k, x in enumerate(traj.values):
+                _write_profile_csv(base + f"_profile{k}.csv", traj.grid, x)
+        if cfg.dump_noise:  # the seed's num_steps increments as float64 rows, from its cached blocks
+            with open(base + "_noise.bin", "wb") as fh:
+                for k in range(0, cfg.solve.num_steps, _CHUNK):
+                    stream.block(k, min(_CHUNK, cfg.solve.num_steps - k), cfg.solve.dt, cfg.ambient).tofile(fh)
+        meta = {
+            "n": label,
+            "seed": seed,
+            "exited": traj.exited,
+            "exit": None if traj.exit is None else asdict(traj.exit),
+            "final_time": float(traj.times[-1]),
+            "final_p": float(traj.values[-1, -1]),
+        }
+        _write_json(base + "_exit.json", meta)
+        metas.append(meta)
+    return metas
 
 
 def run_simulate(cfg: ExperimentConfig) -> List[dict]:
-    """One path per (n, seed); writes trajectory CSVs and exit metadata."""
+    """One path per (n, seed), each seed's family on one stream; writes their files and returns their metas n-major."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    cells = [(n, s) for n in cfg.family for s in cfg.seeds]
-    metas = _map_cells(cfg, _simulate_cell, cells)
-    _write_manifest(cfg, {"mode": "simulate", "cells": len(cells)})
+    metas = [m for member in zip(*_map_cells(cfg, _simulate_seed)) for m in member]
+    _write_manifest(cfg, {"mode": "simulate", "cells": len(metas)})
     return metas
 
 
@@ -226,12 +228,9 @@ def _pair_distances(ref: Trajectory, traj: Trajectory):
 def _converge_seed(cfg: ExperimentConfig, seed: int) -> dict:
     """Each finite member's ``_pair_distances`` to the n = inf reference for one seed.
 
-    Every member asks ``solve`` for the same blocks of the seed's
-    increments, each drawn once by the bound ``NoiseStream.block`` and
-    replayed from a cache.  The reference is solved first; each member is
-    dropped once its distances are taken.
+    The reference is solved first; each member is dropped once its distances are taken.
     """
-    stream = SimpleNamespace(seed=seed, block=cache(NoiseStream(seed=seed).block))
+    stream = _seed_stream(seed)
     ref = _solve_cell(cfg, INF, stream)
     return {n: _pair_distances(ref, _solve_cell(cfg, n, stream)) for n in cfg.family if n != INF}
 
@@ -240,7 +239,7 @@ def run_converge(cfg: ExperimentConfig) -> ConvergenceReport:
     """Monte Carlo distances to the sharp-interface reference, plus a rate fit."""
     finite = sorted(n for n in cfg.family if n != INF)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    per_seed = _map_cells(cfg, _converge_seed, [(s,) for s in cfg.seeds])
+    per_seed = _map_cells(cfg, _converge_seed)
     # the four statistics, each as n -> one list aligned with the seeds
     stats = ({n: [cell[n][i] for cell in per_seed] for n in finite} for i in range(4))
     report = ConvergenceReport(finite, list(cfg.seeds), cfg.q, *stats)

@@ -547,9 +547,11 @@ def test_convergence_report_derives_from_distances():
         assert not hasattr(rep, gone), gone
 
 
-def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["converge", "simulate"])
+def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch, mode):
     # four members on each of two seeds read one shared draw per (seed, step):
-    # the steps of every row a block returns are counted
+    # the steps of every row a block returns are counted; simulate also dumps
+    # every member's noise, which reads the same rows again
     drawn = []
     block = NoiseStream.block
 
@@ -558,11 +560,14 @@ def test_converge_draws_each_seed_step_once(tmp_path, monkeypatch):
         return block(self, k0, K, dt, ambient)
 
     monkeypatch.setattr(NoiseStream, "block", counted)
-    raw = base_raw(tmp_path, mode="converge")
+    raw = base_raw(tmp_path, mode=mode)
     raw["family"] = [4, 8, 16, "inf"]
-    cfg = resolve(raw)
-    rep = run_converge(cfg)
-    assert not any(any(e) for e in rep.exploded.values())
+    cfg = resolve(dict(raw, dump_noise=mode == "simulate"))
+    if mode == "converge":
+        rep = run_converge(cfg)
+        assert not any(any(e) for e in rep.exploded.values())
+    else:
+        assert len(run_simulate(cfg)) == 8 and len(list(tmp_path.glob("*_noise.bin"))) == 8
     assert sorted(drawn) == [(s, k) for s in (0, 1) for k in range(cfg.solve.num_steps)]
 
 
@@ -943,15 +948,14 @@ def test_map_cells_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = resolve(dict(base_raw(tmp_path), jobs=16))
 
-    def cell(cfg, n, seed):
-        return (n, seed)
+    def cell(cfg, seed):
+        return (cfg.jobs, seed)
 
-    args = [(4, 0), (4, 1), ("inf", 0)]
-    assert runs._map_cells(cfg, cell, args) == args
+    assert runs._map_cells(replace(cfg, seeds=[0, 1, 5]), cell) == [(16, 0), (16, 1), (16, 5)]
     assert pools == [3]
-    # one cell, or none, runs in this process without a pool
-    assert runs._map_cells(cfg, cell, args[:1]) == args[:1]
-    assert runs._map_cells(cfg, cell, []) == []
+    # one seed, or none, runs in this process without a pool
+    assert runs._map_cells(replace(cfg, seeds=[5]), cell) == [(16, 5)]
+    assert runs._map_cells(replace(cfg, seeds=[]), cell) == []
     assert pools == [3]
 
 
