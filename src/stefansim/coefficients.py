@@ -8,8 +8,9 @@ spatial argument is -x and its slope argument carries the reflection sign.
 
 The zero families ``mu_zero`` and ``sigma_zero`` are one shared function
 each, so a term whose two phases are both that function is known to vanish
-by identity and is not evaluated: the drift then has no reaction part, and
-the diffusion reads no increment (``draws_noise``) and colors nothing.
+by identity and is not evaluated: the drift then has no reaction part, and a
+path whose model fails ``draws_noise`` has no diffusion term and reads no
+increment.  A path binds each phase's sigma to its nodes once, by ``sigma_at``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import WindowUnresolved
 from .grids import Grid, interface_weights, padded, padded_state_norm, sq_norm, window_resolved
-from .noise import AmbientGrid, Kernel, color_field
+from .noise import Kernel, color_field
 
 __all__ = [
     "CoefficientSet",
@@ -33,6 +34,7 @@ __all__ = [
     "interface_speed",
     "drift_rows",
     "draws_noise",
+    "sigma_at",
     "diffusion_rows",
     "h_r",
     "psi_gap_bound",
@@ -165,29 +167,27 @@ def draws_noise(c: CoefficientSet) -> bool:
     return not (c.sigma_plus is _sigma_zero and c.sigma_minus is _sigma_zero)
 
 
-def diffusion_rows(
-    c: CoefficientSet,
-    U: np.ndarray,
-    p: float,
-    dW: np.ndarray | None,
-    ambient: AmbientGrid,
-    grid: Grid,
-    out=None,
-) -> np.ndarray | None:
+def sigma_at(s: Callable, x: np.ndarray) -> Callable:
+    """sigma s bound to the nodes x: a function of v with the bits of s(x, v); an affine profile is evaluated once."""
+    if isinstance(s, partial) and s.func is _sigma_affine:
+        additive, multiplicative, width = s.args
+        xa = np.asarray(x, dtype=float)
+        return partial(_affine_at, additive * xa * np.exp(-xa * xa / (2.0 * width * width)), multiplicative)
+    return partial(s, x)
+
+
+def diffusion_rows(sigma: tuple, U: np.ndarray, p: float, dW: np.ndarray, coloring: tuple, out=None) -> np.ndarray:
     """Phase rows (sigma+(x, u1) xi+, sigma-(-x, u2) xi-) of the noise increment dW (J,); its p component is 0.
 
-    When ``draws_noise(c)`` is false the product is zero whatever dW is:
-    sigma is not evaluated, dW is not read and may be None, and the result is
-    None.  Any other sigma is evaluated at the state and multiplies the
-    colored increment.  The rows are written into ``out`` (2, M) if given.
+    ``sigma`` is the pair of phase sigmas bound by ``sigma_at`` and ``coloring``
+    the path's ``noise.coloring``, whose window covers p.  The rows are written
+    into ``out`` (2, M) if given.
     """
-    if not draws_noise(c):
-        return None
     if out is None:
-        out = np.empty((2, grid.M))
-    out[0] = c.sigma_plus(grid.nodes, U[0, 1:-1])
-    out[1] = c.sigma_minus(grid.reflected_nodes, U[1, 1:-1])
-    out *= color_field(c.kernel, ambient, dW, p, grid)
+        out = np.empty((2, U.shape[1] - 2))
+    out[0] = sigma[0](U[0, 1:-1])
+    out[1] = sigma[1](U[1, 1:-1])
+    out *= color_field(coloring, dW, p)
     return out
 
 
@@ -261,19 +261,12 @@ def sigma_zero():
     return _sigma_zero
 
 
-def _sigma_affine(additive, multiplicative, width, profiles, x, v):
-    # profiles maps id(x) of a read-only x (the grid's node arrays) to x and its
-    # additive profile; holding x keeps its id from being reused by another array
-    hit = profiles.get(id(x))
-    if hit is not None and hit[0] is x:
-        return hit[1] + multiplicative * v
-    xa = np.asarray(x, dtype=float)
-    profile = additive * xa * np.exp(-xa * xa / (2.0 * width * width))
-    if isinstance(x, np.ndarray) and not x.flags.writeable:
-        if len(profiles) >= 8:
-            profiles.clear()
-        profiles[id(x)] = (x, profile)
+def _affine_at(profile, multiplicative, v):
     return profile + multiplicative * v
+
+
+def _sigma_affine(additive, multiplicative, width, x, v):
+    return sigma_at(partial(_sigma_affine, additive, multiplicative, width), x)(v)  # s(x, v) is sigma_at(s, x)(v)
 
 
 def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: float = 1.0):
@@ -285,7 +278,7 @@ def sigma_affine(additive: float = 0.0, multiplicative: float = 0.0, width: floa
     """
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
-    return partial(_sigma_affine, additive, multiplicative, width, {})
+    return partial(_sigma_affine, additive, multiplicative, width)
 
 
 def _constant(value, *args):

@@ -34,7 +34,7 @@ from .. import __version__
 from ..coefficients import INF
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
-from ..solver import _CHUNK, Trajectory, solve
+from ..solver import Trajectory, block_schedule, solve
 from ..transform import F_transform
 from .config import ExperimentConfig, resolve  # noqa: F401, the benchmark calls and traces runs.resolve
 
@@ -142,8 +142,8 @@ def _simulate_seed(cfg: ExperimentConfig, seed: int) -> List[dict]:
                 _write_profile_csv(base + f"_profile{k}.csv", traj.grid, x)
         if cfg.dump_noise:  # the seed's num_steps increments as float64 rows, from its cached blocks
             with open(base + "_noise.bin", "wb") as fh:
-                for k in range(0, cfg.solve.num_steps, _CHUNK):
-                    stream.block(k, min(_CHUNK, cfg.solve.num_steps - k), cfg.solve.dt, cfg.ambient).tofile(fh)
+                for k0, K in block_schedule(cfg.solve.num_steps):
+                    stream.block(k0, K, cfg.solve.dt, cfg.ambient).tofile(fh)
         meta = {
             "n": label,
             "seed": seed,

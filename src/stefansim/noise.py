@@ -12,10 +12,10 @@ and u_j = y_j - c,
     zeta(p +/- x_i, y_j) = Z_ij exp(-/+ delta x_i / s^2) exp(delta u_j / s^2)
                            exp(-delta^2 / (2 s^2)),   Z_ij = zeta(c +/- x_i, y_j),
 
-so ``color_field`` costs one product of the fixed (2M x J) matrix Z, cached
-per geometry, with a vector of J exponentials, scaled by 2M exponentials.
-Where those factors could grow large enough to cost accuracy (see
-``_MAX_EXPONENT``), the direct form ``color_at`` is used instead.
+so ``color_field`` costs one product of the fixed (2M x J) matrix Z, which a
+path takes once from ``coloring``, with a vector of J exponentials, scaled by
+2M exponentials.  Where those factors could grow large enough to cost
+accuracy (see ``_MAX_EXPONENT``), the direct form ``color_at`` is used instead.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import BoundaryLeftWindow
 from .grids import Grid
 
 __all__ = [
@@ -35,8 +34,8 @@ __all__ = [
     "Kernel",
     "gaussian_kernel",
     "NoiseStream",
-    "check_window",
     "color_at",
+    "coloring",
     "color_field",
 ]
 
@@ -271,18 +270,14 @@ def _gaussian_factors(scale: float, ambient: AmbientGrid, grid: Grid):
     return Z, rows, cols, centre
 
 
-def check_window(ambient: AmbientGrid, p: float, L: float):
-    """Raise BoundaryLeftWindow unless the window covers [p - L, p + L]."""
-    if not ambient.covers(p, L):
-        raise BoundaryLeftWindow(
-            f"boundary at {p} with half-width {L} leaves window [{ambient.x_lo}, {ambient.x_hi}]"
-        )
+def coloring(kernel: Kernel, ambient: AmbientGrid, grid: Grid) -> tuple:
+    """The coloring of a path: (kernel, ambient, grid, the ``_gaussian_factors`` of that geometry or None)."""
+    return kernel, ambient, grid, _gaussian_factors(kernel.scale, ambient, grid)
 
 
-def color_field(kernel: Kernel, ambient: AmbientGrid, dW: np.ndarray, p: float, grid: Grid):
-    """Colored increments at p + x_i and p - x_i for the two phases, as rows of a (2, M) array."""
-    check_window(ambient, p, grid.L)
-    factors = _gaussian_factors(kernel.scale, ambient, grid)
+def color_field(coloring: tuple, dW: np.ndarray, p: float):
+    """Colored increments at p + x_i and p - x_i of the two phases, as (2, M) rows; the window covers p."""
+    kernel, ambient, grid, factors = coloring
     if factors is None:
         xs = grid.nodes
         return np.stack((color_at(kernel, ambient, dW, p + xs), color_at(kernel, ambient, dW, p - xs)))

@@ -4,18 +4,19 @@ One step applies the exact semigroup to (state + dt * drift + noise
 increment), which discretizes the semigroup integral equation term by term:
 unconditionally stable in the stiff linear part, first order in dt in the
 drift, Ito (left endpoint) in the noise.  A step of a model whose two sigma
-phases are the shared zero noise ``coefficients.sigma_zero()`` draws no
-noise increment.
+phases are the shared zero noise ``coefficients.sigma_zero()`` has no noise
+term and draws no increment.
 
 A state is the row u1 | u2 | p (see ``grids``).  A ``_Path`` holds one
-trajectory: its step constants, its state as padded phases (2, M+2) plus the
-scalar p, and the buffers ``advance`` writes into, so a step allocates no
-array of the state's size.  ``advance`` steps the state by an increment
-array through the array functions of ``coefficients`` and applies the cutoff
-of a truncated run.  ``solve`` loops it from an initial row, records rows and
+trajectory: the constants of its model and step, built once, its state as
+padded phases (2, M+2) plus the scalar p, and the buffers ``advance`` writes
+into, so a step allocates no array of the state's size and its noise term
+looks nothing up.  ``advance`` steps the state by an increment array through
+the array functions of ``coefficients`` and applies the cutoff of a
+truncated run.  ``solve`` loops it from an initial row, records rows and
 decides the exits; a path that draws takes its increments from the stream's
-``block`` in chunks of ``_CHUNK`` steps.  ``step`` runs it once from a row,
-which is how the lemma battery checks the cutoff that runs.
+``block`` in the growing chunks of ``block_schedule``.  ``step`` runs it
+once from a row, which is how the lemma battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ import numpy as np
 
 from . import coefficients
 from .coefficients import CoefficientSet, TruncationSpec, diffusion_rows, draws_noise, drift_rows, transport_direction
-from .errors import NonFiniteState
+from .errors import BoundaryLeftWindow, NonFiniteState
 from .grids import Grid, interface_weights, padded, padded_state_norm
-from .noise import AmbientGrid, NoiseStream, check_window
+from .noise import AmbientGrid, NoiseStream, coloring
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
 
-# Steps whose increments ``solve`` draws as one ``NoiseStream.block``: the
-# rows held at a time, and the block keys every path of a seed shares.
-_CHUNK = 256
+_CHUNK = 256  # the most steps whose increments ``solve`` draws as one ``NoiseStream.block``
 
 # Relative tolerance on T/dt being a whole number of steps: admits the rounding
 # of decimal inputs such as 0.25/2e-3 = 125.00000000000001.
@@ -97,29 +96,43 @@ class Trajectory:
         return self.values[:, -1].copy()
 
 
+def block_schedule(num_steps: int):
+    """(k0, K) of the blocks every path of a seed draws: 32, 64, 128, then ``_CHUNK`` steps each, the last one short."""
+    k0, K = 0, 32
+    while k0 < num_steps:
+        yield k0, min(K, num_steps - k0)
+        k0, K = k0 + K, min(2 * K, _CHUNK)
+
+
 class _Path:
     """One trajectory: the constants of its step, its current state and the buffers it is stepped in.
 
-    The constants are the semigroup factors ``F``, ``fp`` of dt and the
-    interface weights ``w`` of n.  The state is held as padded phases ``U``
-    (2, M+2), whose Dirichlet columns stay zero, for the differences; as their
-    interior ``Y`` (2, M), contiguous, for the sums; and as the boundary
-    ``p``.  ``g`` holds its transport direction and ``nrm`` its H2-state norm,
-    from the differences for the starting row and from the sine modes after
-    each step.  ``Z`` is the spare row buffer and ``noise`` the noise rows.
+    The constants are the semigroup factors ``F``, ``fp`` of dt, the
+    interface weights ``w`` of n, the phases' ``sigma`` bound to their nodes
+    and, for a path that ``draws``, the ``coloring`` of its noise.  The
+    state is held as padded phases ``U`` (2, M+2), whose Dirichlet columns
+    stay zero, for the differences; as their interior ``Y`` (2, M),
+    contiguous, for the sums; and as the boundary ``p``.  ``g`` holds its
+    transport direction and ``nrm`` its H2-state norm, from the differences
+    for the starting row and from the sine modes after each step.  ``Z`` is
+    the spare row buffer and ``noise`` the noise rows.
     """
 
-    __slots__ = ("op", "c", "cfg", "ambient", "draws", "F", "fp", "w", "U", "Y", "Z", "noise", "g", "p", "nrm")
+    __slots__ = (
+        "op", "c", "cfg", "draws", "sigma", "coloring", "F", "fp", "w", "U", "Y", "Z", "noise", "g", "p", "nrm"
+    )
 
     def __init__(self, op: SpectralOperator, c: CoefficientSet, cfg: SolveConfig, ambient: AmbientGrid, x):
         grid = op.grid
-        self.op, self.c, self.cfg, self.ambient = op, c, cfg, ambient
+        self.op, self.c, self.cfg = op, c, cfg
         self.draws = draws_noise(c)
+        at = coefficients.sigma_at
+        self.sigma = (at(c.sigma_plus, grid.nodes), at(c.sigma_minus, grid.reflected_nodes))
+        self.coloring = coloring(c.kernel, ambient, grid) if self.draws else None
         self.F, self.fp = semigroup_factors(op, cfg.dt)
         self.w = interface_weights(grid, cfg.n)
         self.U = U = padded(grid, x)
-        self.Y, self.Z = np.ascontiguousarray(U[:, 1:-1]), np.empty((2, grid.M))
-        self.noise = np.empty((2, grid.M))
+        self.Y, self.Z, self.noise = np.ascontiguousarray(U[:, 1:-1]), np.empty((2, grid.M)), np.empty((2, grid.M))
         self.g = transport_direction(U, grid.h)
         self.p = float(x[-1])
         self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g)
@@ -136,7 +149,7 @@ class _Path:
         return math.isfinite(self.nrm) or bool(np.isfinite(self.Y).all() and math.isfinite(self.p))
 
     def advance(self, dW: Optional[np.ndarray]):
-        """One step of exponential Euler by the noise increment dW (J,), None where ``draws`` is false.
+        """One step of exponential Euler by the noise increment dW (J,), not read where ``draws`` is false.
 
         The caller has checked that the window covers the boundary.  The
         cutoff factor is evaluated once from ``nrm`` and scales drift and
@@ -149,7 +162,7 @@ class _Path:
         grid = op.grid
         U, Y, p = self.U, self.Y, self.p
         drift, drift_p = drift_rows(c, U, p, self.g, self.w, grid, self.Z, Y)
-        noise = diffusion_rows(c, U, p, dW, self.ambient, grid, self.noise)
+        noise = diffusion_rows(self.sigma, U, p, dW, self.coloring, self.noise) if self.draws else None
         if cfg.truncation is not None:
             # looked up on the module so that a wrapper of coefficients.h_r sees the call
             f = coefficients.h_r(cfg.truncation, self.nrm**2)
@@ -188,7 +201,9 @@ def step(
     ``solve`` exits it raises BoundaryLeftWindow or NonFiniteState.
     """
     path = _Path(op, c, cfg, ambient, x)
-    check_window(ambient, path.p, op.grid.L)
+    p, L = path.p, op.grid.L
+    if not ambient.covers(p, L):
+        raise BoundaryLeftWindow(f"boundary at {p} with half-width {L} leaves window [{ambient.x_lo}, {ambient.x_hi}]")
     path.advance(dW)
     if not path.finite:
         raise NonFiniteState("non-finite state after a step")
@@ -218,8 +233,8 @@ def solve(
     at the explosion radius if that radius was set inside the cutoff ball.
 
     ``stream`` needs only ``block(k0, K, dt, ambient)``, asked for the
-    chunks ``k0 = 0, _CHUNK, ...`` of ``min(_CHUNK, steps left)`` rows and
-    only by a path whose model draws.
+    blocks of ``block_schedule`` in order, up to the one holding the last
+    step taken, and only by a path whose model draws.
     """
     path = _Path(op, c, cfg, ambient, x0)
     times, rows, norms = [], [], [path.nrm]
@@ -232,17 +247,13 @@ def solve(
     record(0.0)
     exit_event: Optional[ExitEvent] = None
     last = cfg.num_steps - 1
-    dW = None
+    increments = (dW for k0, K in block_schedule(cfg.num_steps) for dW in stream.block(k0, K, cfg.dt, ambient))
     for k in range(cfg.num_steps):
         if not ambient.covers(path.p, op.grid.L):
             exit_event = ExitEvent(step=k, time=k * cfg.dt, threshold=math.inf, kind="window")
             record(k * cfg.dt)
             break
-        if path.draws:
-            if k % _CHUNK == 0:
-                chunk = stream.block(k, min(_CHUNK, cfg.num_steps - k), cfg.dt, ambient)
-            dW = chunk[k % _CHUNK]
-        path.advance(dW)
+        path.advance(next(increments) if path.draws else None)
         t_next = (k + 1) * cfg.dt
         if not path.finite:
             exit_event = ExitEvent(step=k + 1, time=t_next, threshold=math.inf, kind="nonfinite")

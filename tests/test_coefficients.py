@@ -31,12 +31,14 @@ from stefansim.coefficients import (
     rho_tanh,
     rho_zero,
     sigma_affine,
+    sigma_at,
     sigma_zero,
     transport_direction,
 )
 from stefansim.errors import WindowUnresolved
 from stefansim.experiments.sampling import rough_state
 from stefansim.grids import diff1, interface_weights, padded, sq_norm
+from stefansim.noise import coloring
 
 from conftest import make_model
 
@@ -147,10 +149,8 @@ def test_diffusion_zero_sigma(grid, ambient):
     model = make_model(ambient)
     assert not draws_noise(model)
     assert draws_noise(make_model(ambient, sigma=sigma_affine(additive=0.3)))
-    # zero sigma rows: the product is zero and None stands for it, with no
-    # increment to read and no window to check, even with p far outside it
-    assert diffusion_rows(model, padded(grid, zero(grid)), 0.0, None, ambient, grid) is None
-    assert diffusion_rows(model, padded(grid, zero(grid)), 1e3, None, ambient, grid) is None
+    # a path of the zero-sigma model has no noise term at all, so it neither
+    # draws nor colors: test_noise_free_step_draws_nothing pins that
 
 
 def test_zero_families_are_shared():
@@ -167,7 +167,7 @@ def test_families_pickle_with_their_values():
     # a resolved config goes to worker processes whole: every family round-trips
     # with its parameters, bit for bit, and the zero families stay the shared function
     x = np.linspace(-1.5, 1.5, 11)
-    x.setflags(write=False)  # like the grid's nodes, whose profile sigma_affine caches
+    x.setflags(write=False)  # like the grid's nodes
     v, vp = np.sin(3.0 * x), np.cos(2.0 * x) - 0.5
     mus = (mu_zero(), mu_linear(0.3, -0.7), mu_saturated(2.0, 0.5), mu_quadratic(3.0))
     sigmas = (sigma_zero(), sigma_affine(0.4, 0.3, 0.7), sigma_affine(additive=-1.2, width=2.5))
@@ -176,9 +176,16 @@ def test_families_pickle_with_their_values():
         copy = pickle.loads(pickle.dumps(mu))
         assert _bits(copy(x, v, vp)) == _bits(mu(x, v, vp))
     for sigma in sigmas:
-        expected = sigma(x, v)  # fills the profile cache that is pickled along
+        expected = sigma(x, v)
         copy = pickle.loads(pickle.dumps(sigma))
         assert _bits(copy(x, v)) == _bits(expected) and _bits(copy(x.copy(), v)) == _bits(expected)
+        # the sigma a path binds to its nodes has the bits of the family's call
+        for s in (sigma, copy):
+            assert _bits(sigma_at(s, x)(v)) == _bits(expected)
+    user = lambda x, v: 0.3 * np.sin(x) * v
+    assert _bits(sigma_at(user, x)(v)) == _bits(user(x, v))
+    # an affine family binds its values and nothing else
+    assert sigmas[1].args == (0.4, 0.3, 0.7) and not sigmas[1].keywords
     for rho, lip in rhos:
         rho_copy, lip_copy = pickle.loads(pickle.dumps((rho, lip)))
         for a, b in ((0.3, -0.2), (-1.7, 2.4), (5.0, 5.0)):
@@ -193,7 +200,8 @@ def test_diffusion_multiplicative_boundary_decay(grid, ambient):
     f = np.sin(np.pi * grid.nodes)
     X = row(f, np.zeros(grid.M), 0.0)
     inc = NoiseStream(seed=1).increment(0, 0.01, ambient)
-    out = diffusion_rows(model, padded(grid, X), X[-1], inc, ambient, grid)
+    sigma = (sigma_at(model.sigma_plus, grid.nodes), sigma_at(model.sigma_minus, grid.reflected_nodes))
+    out = diffusion_rows(sigma, padded(grid, X), X[-1], inc, coloring(model.kernel, ambient, grid))
     # first interior node value inherits the O(h) smallness of u1 there
     assert abs(out[0, 0]) <= abs(f[0]) * np.max(np.abs(inc)) * 10.0
     assert np.max(np.abs(out[1])) == 0.0

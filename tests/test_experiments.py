@@ -1042,6 +1042,33 @@ def test_cli_exploding_run_prints_only_its_own_warnings(tmp_path, mode):
         assert lines and lines[-1].startswith("warning: 8 of 8 (n, seed) pairs exited before T")
 
 
+def test_exploding_simulate_draws_about_what_it_uses(tmp_path, monkeypatch):
+    # every path of the exploding example exits "nonfinite" at step 19 of
+    # 125: each seed draws the first block of solve's schedule, 32 rows, and
+    # not the horizon
+    from stefansim.cli import main
+
+    drawn = []
+    block = NoiseStream.block
+
+    def counted(self, k0, K, dt, ambient):
+        drawn.append(K)
+        return block(self, k0, K, dt, ambient)
+
+    monkeypatch.setattr(NoiseStream, "block", counted)
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")) as fh:
+        raw = yaml.safe_load(fh)
+    raw["model"]["mu"] = {"name": "quadratic", "coeff": 400}
+    raw["solve"]["truncation_r"] = math.inf
+    raw["solve"]["R_max"] = math.inf
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(raw))
+    assert main(["simulate", "--config", str(cfg_path), "--seeds", "0..1", "--out", str(tmp_path / "out")]) == 0
+    metas = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*_exit.json")]
+    assert len(metas) == 10 and all(m["exit"]["kind"] == "nonfinite" and m["exit"]["step"] == 19 for m in metas)
+    assert sum(drawn) <= 64
+
+
 def test_cli_bad_config(tmp_path, capsys):
     from stefansim.cli import main
 

@@ -36,7 +36,6 @@ def test_grid_validation():
 
 
 def test_gridfunction_immutable(grid):
-    # sigma_affine caches its profile per node array, which relies on this
     for x in (grid.nodes, grid.reflected_nodes):
         with pytest.raises(ValueError):
             x[0] = 1.0

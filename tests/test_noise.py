@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, gaussian_kernel
+from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, SolveConfig, SpectralOperator, gaussian_kernel, step
 from stefansim import noise
+from stefansim.coefficients import sigma_affine
 from stefansim.errors import BoundaryLeftWindow
-from stefansim.noise import _gaussian_factors, color_at, color_field
+from stefansim.noise import _gaussian_factors, color_at, color_field, coloring
 from stefansim.solver import _CHUNK
 
+from conftest import make_model
 from oracles import seed_sequence_increment
 
 
@@ -144,19 +146,26 @@ def test_variance_linear_in_time(kernel, ambient):
     assert np.var(two) / np.var(one) == pytest.approx(2.0, rel=0.05)
 
 
+def _step_at(grid, ambient, inc, p):
+    """One noisy step from the zero phases with boundary p; the step, not the coloring, checks the window."""
+    op = SpectralOperator(grid, 1.0, 1.0)
+    model = make_model(ambient, sigma=sigma_affine(additive=0.3))
+    return step(op, model, SolveConfig(dt=0.01, T=0.01, n=8), np.append(np.zeros(2 * grid.M), p), inc, ambient)
+
+
 def test_color_field_window_and_symmetry(kernel, ambient):
     grid = Grid(1.0, 31)
     stream = NoiseStream(seed=5)
     inc = stream.increment(0, 0.01, ambient)
-    xp, xm = color_field(kernel, ambient, inc, 0.0, grid)
+    xp, xm = color_field(coloring(kernel, ambient, grid), inc, 0.0)
     assert xp.shape == (grid.M,) and xm.shape == (grid.M,)
     # reversing the increment about 0 swaps the two phase fields (even kernel)
-    xp2, xm2 = color_field(kernel, ambient, inc[::-1], 0.0, grid)
+    xp2, xm2 = color_field(coloring(kernel, ambient, grid), inc[::-1], 0.0)
     assert np.allclose(xp2, xm, atol=1e-12)
     assert np.allclose(xm2, xp, atol=1e-12)
 
     with pytest.raises(BoundaryLeftWindow):
-        color_field(kernel, ambient, inc, 2.5, grid)
+        _step_at(grid, ambient, inc, 2.5)
 
 
 # The factorized coloring rounds differently from the direct quadrature; it
@@ -165,7 +174,7 @@ FACTORIZED_RTOL = 1e-13
 
 
 def _max_rel_error(kernel, ambient, inc, p, grid):
-    xp, xm = color_field(kernel, ambient, inc, p, grid)
+    xp, xm = color_field(coloring(kernel, ambient, grid), inc, p)
     dp = color_at(kernel, ambient, inc, p + grid.nodes)
     dm = color_at(kernel, ambient, inc, p - grid.nodes)
     scale = max(np.max(np.abs(dp)), np.max(np.abs(dm)))
@@ -176,7 +185,7 @@ def test_color_field_translation_consistency(kernel, ambient):
     grid = Grid(1.0, 31)
     inc = NoiseStream(seed=6).increment(0, 0.01, ambient)
     p, delta = 0.2, 0.37
-    xp, _ = color_field(kernel, ambient, inc, p + delta, grid)
+    xp, _ = color_field(coloring(kernel, ambient, grid), inc, p + delta)
     direct = color_at(kernel, ambient, inc, p + delta + grid.nodes)
     assert np.max(np.abs(xp - direct)) <= FACTORIZED_RTOL * np.max(np.abs(direct))
 
@@ -205,7 +214,7 @@ def test_factorized_coloring_fallback_is_direct(ambient):
     kernel = gaussian_kernel(0.05, ambient)
     assert _gaussian_factors(0.05, ambient, grid) is None
     inc = NoiseStream(seed=4).increment(0, 0.01, ambient)
-    xp, xm = color_field(kernel, ambient, inc, 0.4, grid)
+    xp, xm = color_field(coloring(kernel, ambient, grid), inc, 0.4)
     assert np.array_equal(xp, color_at(kernel, ambient, inc, 0.4 + grid.nodes))
     assert np.array_equal(xm, color_at(kernel, ambient, inc, 0.4 - grid.nodes))
 
@@ -215,12 +224,13 @@ def test_factorized_coloring_window_edges(kernel, ambient):
     assert _gaussian_factors(0.5, ambient, grid) is not None
     inc = NoiseStream(seed=8).increment(0, 0.01, ambient)
     for p in (ambient.x_lo + grid.L, ambient.x_hi - grid.L):
-        xp, xm = color_field(kernel, ambient, inc, p, grid)
+        xp, xm = color_field(coloring(kernel, ambient, grid), inc, p)
         assert np.all(np.isfinite(xp)) and np.all(np.isfinite(xm))
         assert _max_rel_error(kernel, ambient, inc, p, grid) <= FACTORIZED_RTOL
+        assert np.isfinite(_step_at(grid, ambient, inc, p)).all()
     for p in (ambient.x_lo + grid.L - 1e-9, ambient.x_hi - grid.L + 1e-9):
         with pytest.raises(BoundaryLeftWindow):
-            color_field(kernel, ambient, inc, p, grid)
+            _step_at(grid, ambient, inc, p)
 
 
 def test_kernel_profile_finite(ambient):
@@ -253,7 +263,7 @@ def test_kernel_accepted_tiny_scales_do_not_warn(ambient):
             row = k.zeta(ambient.nodes[60], ambient.nodes)
             assert row[60] > 0 and not row[:60].any() and not row[61:].any()
             assert np.isfinite(color_at(k, ambient, dW, np.array([0.0, 0.01]))).all()
-            assert np.isfinite(color_field(k, ambient, dW, 0.0, grid)).all()
+            assert np.isfinite(color_field(coloring(k, ambient, grid), dW, 0.0)).all()
 
 
 def test_gaussian_kernel_evaluates_one_row(monkeypatch):

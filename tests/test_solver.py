@@ -34,7 +34,8 @@ from stefansim.coefficients import (
 from stefansim.experiments import load_config, resolve
 from stefansim.grids import interface_weights, padded
 from stefansim.errors import BoundaryLeftWindow
-from stefansim.solver import _CHUNK, ExitEvent, Trajectory
+from stefansim.noise import _gaussian_factors
+from stefansim.solver import ExitEvent, Trajectory
 
 from conftest import make_model
 from oracles import seed_sequence_increment
@@ -162,6 +163,9 @@ def _step_case(case):
     if case == "noise-free":
         # as in stefan-oracle: zero sigma, linear rho, no truncation
         raw["model"] = dict(base["model"], sigma={"name": "zero"}, rho={"name": "linear", "rho0": 1.0})
+    elif case == "direct-coloring":
+        # a kernel too narrow for the factorized coloring of this window
+        raw["model"] = dict(base["model"], kernel={"scale": 0.2})
     elif case in ("window", "noise-free-window"):
         # strong transport out of a narrow window: a "window" exit after a few steps
         raw["model"] = dict(base["model"], rho={"name": "linear", "rho0": 20.0})
@@ -177,13 +181,15 @@ def _step_case(case):
     return c.operator, c.model, cfg, c.initial, c.ambient
 
 
-@pytest.mark.parametrize("case", [8, INF, "noise-free", "window", "noise-free-window"])
+@pytest.mark.parametrize("case", [8, INF, "noise-free", "window", "noise-free-window", "direct-coloring"])
 def test_step_is_solves_step(case):
     # one step from every recorded state, with the increment solve drew for
     # it, reproduces the next recorded state bit for bit; from the state that
     # left the window, a step raises where the solve loop exited, with noise
     # or without
     op, model, cfg, x0, ambient = _step_case(case)
+    if case == "direct-coloring":
+        assert _gaussian_factors(model.kernel.scale, ambient, op.grid) is None
     window = case in ("window", "noise-free-window")
     stream = NoiseStream(seed=0)
     traj = solve(op, model, cfg, x0, stream, ambient)
@@ -364,7 +370,7 @@ def test_noise_free_step_draws_nothing(grid, ambient):
 
 
 def test_solve_draws_the_bits_of_per_step_draws(grid, ambient):
-    # 600 steps span three of solve's blocks, the last one short; each step of
+    # 600 steps span five of solve's blocks, the last one short; each step of
     # the path is the one step from its state on the increment that numpy
     # draws for that step alone
     class Recording:
@@ -380,7 +386,7 @@ def test_solve_draws_the_bits_of_per_step_draws(grid, ambient):
     cfg = SolveConfig(dt=1e-4, T=0.06, n=8)
     stream = Recording(NoiseStream(seed=3))
     traj = solve(op, model, cfg, sine_state(grid), stream, ambient)
-    assert cfg.num_steps == 600 and stream.blocks == [(0, _CHUNK), (_CHUNK, _CHUNK), (2 * _CHUNK, 600 - 2 * _CHUNK)]
+    assert cfg.num_steps == 600 and stream.blocks == [(0, 32), (32, 64), (96, 128), (224, 256), (480, 120)]
     assert not traj.exited and len(traj.values) == 601
     for k in range(cfg.num_steps):
         dW = seed_sequence_increment(3, k, cfg.dt, ambient)
