@@ -209,7 +209,7 @@ def psi_gap_bound(c: CoefficientSet, grid: Grid, x: np.ndarray, n: int):
     g = transport_direction(U, h)
     dpsi = interface_speed(c, U, interface_weights(grid, n)) - interface_speed(c, U, interface_weights(grid, INF))
     gap = abs(dpsi) * math.sqrt(sq_norm(np.pad(g, ((0, 0), (1, 1))), h, "H1") + 1.0)
-    R = padded_state_norm(U, float(x[-1]), h, "H2", g)
+    R = padded_state_norm(U, float(x[-1]), h, "H2")
     bound = c.rho_lipschitz(2.0 * R) * R * (1.0 + R) * (1.0 + 10.0 * h) / math.sqrt(n)
     return gap, bound
 

@@ -6,8 +6,8 @@ its seed, so output is deterministic regardless of worker scheduling.  Every
 cell, serial or in a worker, receives the resolved config, which pickles;
 ``_map_cells`` runs the seeds in order, or over ``jobs`` worker processes,
 never more than there are seeds.  A cell solves the seed's family on one
-stream, whose blocks of increments are each drawn once; a convergence cell
-holds its n = inf reference and one member at a time.  The convergence
+``NoiseStream``, which replays its blocks to every member and noise dump; a
+convergence cell holds its n = inf reference and one member at a time.  The
 report holds only the per-seed distances and derives the q-means, rows and a
 closed-form slope, so no run mode calls LAPACK.
 
@@ -24,8 +24,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from functools import cache
-from types import SimpleNamespace
 from typing import Dict, List
 
 import numpy as np
@@ -34,7 +32,7 @@ from .. import __version__
 from ..coefficients import INF
 from ..grids import Grid, diff2, interface_weights, padded, sq_norm
 from ..noise import NoiseStream
-from ..solver import Trajectory, block_schedule, solve
+from ..solver import Trajectory, solve
 from ..transform import F_transform
 from .config import ExperimentConfig, resolve  # noqa: F401, the benchmark calls and traces runs.resolve
 
@@ -100,11 +98,6 @@ def _map_cells(cfg: ExperimentConfig, cell) -> list:
         return [f.result() for f in futures]
 
 
-def _seed_stream(seed: int) -> SimpleNamespace:
-    """The seed's stream for every member: each block is drawn once by ``NoiseStream.block`` and then cached."""
-    return SimpleNamespace(seed=seed, block=cache(NoiseStream(seed=seed).block))
-
-
 def _solve_cell(cfg: ExperimentConfig, n, stream) -> Trajectory:
     scfg = replace(cfg.solve, n=n)
     return solve(cfg.operator, cfg.model, scfg, cfg.initial, stream, cfg.ambient)
@@ -131,7 +124,7 @@ def _write_profile_csv(path: str, grid: Grid, x: np.ndarray):
 
 def _simulate_seed(cfg: ExperimentConfig, seed: int) -> List[dict]:
     """Every member's path on the seed's one stream, in family order, each with its files and exit metadata."""
-    stream, metas = _seed_stream(seed), []
+    stream, metas = NoiseStream(seed), []
     for n in cfg.family:
         traj = _solve_cell(cfg, n, stream)
         label = _n_label(n)
@@ -140,10 +133,9 @@ def _simulate_seed(cfg: ExperimentConfig, seed: int) -> List[dict]:
         if cfg.profiles:
             for k, x in enumerate(traj.values):
                 _write_profile_csv(base + f"_profile{k}.csv", traj.grid, x)
-        if cfg.dump_noise:  # the seed's num_steps increments as float64 rows, from its cached blocks
+        if cfg.dump_noise:  # the seed's num_steps increments as raw float64 rows, replayed by the stream
             with open(base + "_noise.bin", "wb") as fh:
-                for k0, K in block_schedule(cfg.solve.num_steps):
-                    stream.block(k0, K, cfg.solve.dt, cfg.ambient).tofile(fh)
+                fh.writelines(stream.increments(cfg.solve.num_steps, cfg.solve.dt, cfg.ambient))
         meta = {
             "n": label,
             "seed": seed,
@@ -230,7 +222,7 @@ def _converge_seed(cfg: ExperimentConfig, seed: int) -> dict:
 
     The reference is solved first; each member is dropped once its distances are taken.
     """
-    stream = _seed_stream(seed)
+    stream = NoiseStream(seed)
     ref = _solve_cell(cfg, INF, stream)
     return {n: _pair_distances(ref, _solve_cell(cfg, n, stream)) for n in cfg.family if n != INF}
 

@@ -144,26 +144,25 @@ def _sumsq(a: np.ndarray, axis):
     return np.vdot(a, a) if axis is None else np.sum(a * a, axis=axis)
 
 
-def sq_norm(V: np.ndarray, h: float, order: str = "L2", g1=None, axis=None):
+def sq_norm(V: np.ndarray, h: float, order: str = "L2", axis=None):
     """Squared discrete Sobolev norm of the padded rows V (..., M+2), summed over ``axis``.
 
     ``axis=None`` sums over every row.  The H1/H2 norms add the squared first
-    and second differences, with the same stencils as the dynamics; ``g1`` is
-    ``diff1(V, h)`` (up to the signs of whole rows), if the caller has it.
+    and second differences, with the same stencils as the dynamics.
     """
     if order not in _ORDERS:
         raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
     s = _sumsq(V[..., 1:-1], axis)
     if order != "L2":
-        s = s + _sumsq(diff1(V, h) if g1 is None else g1, axis)
+        s = s + _sumsq(diff1(V, h), axis)
     if order == "H2":
         s = s + _sumsq(diff2(V, h), axis)
     return h * s
 
 
-def padded_state_norm(U: np.ndarray, p: float, h: float, order: str = "L2", g1=None) -> float:
+def padded_state_norm(U: np.ndarray, p: float, h: float, order: str = "L2") -> float:
     """Direct-sum norm of the state held as padded phases U (2, M+2) and boundary p; see ``sq_norm``."""
-    return math.sqrt(sq_norm(U, h, order, g1) + p * p)
+    return math.sqrt(sq_norm(U, h, order) + p * p)
 
 
 def state_norm(grid: Grid, x: np.ndarray, order: str = "L2") -> float:

@@ -1,4 +1,4 @@
-"""Discretized cylindrical Wiener increments and the coloring operator.
+"""Discretized cylindrical Wiener increments, drawn once per seed and replayed, and the coloring operator.
 
 The cylindrical increment over one step is a vector of iid N(0, dt/dy)
 variates on an ambient real-line grid; the coloring kernel, the Gaussian
@@ -148,6 +148,8 @@ def _word_shifts(n: int) -> range:
 # generate_state's constants, one column per output word
 _STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 0, 8), dtype=np.uint32)[:, None]
 
+_CHUNK = 256  # the longest block ``NoiseStream.increments`` draws at once
+
 
 @dataclass(frozen=True)
 class NoiseStream:
@@ -158,10 +160,13 @@ class NoiseStream:
     every member of the interface family n see the identical noise.  Step k's
     increment has the bits of ``default_rng(SeedSequence(seed, spawn_key=(0,
     k))).normal(0, sqrt(dt/dy), J)``; ``block`` computes the generator states
-    of many steps at once and draws them from one generator.
+    of many steps at once and draws them from one generator.  ``increments``
+    reads the steps in order and replays each block it drew to every reader.
     """
 
     seed: int
+
+    _blocks = cached_property(lambda self: {})  # (k0, K, dt, ambient) -> the block ``increments`` drew
 
     @cached_property
     def _pool(self):
@@ -224,6 +229,20 @@ class NoiseStream:
             out[i] = gen.normal(0.0, scale, ambient.J)
         out.setflags(write=False)
         return out
+
+    def increments(self, num_steps: int, dt: float, ambient: AmbientGrid):
+        """The read-only (J,) increments of steps 0 .. num_steps - 1 in order, drawn as they are read.
+
+        Blocks of 32, 64, 128, then ``_CHUNK`` steps, the last one short, so a reader that stops after k
+        steps has drawn fewer than min(2k + 32, k + 256); each is drawn once per stream and then replayed.
+        """
+        k0, K = 0, 32
+        while k0 < num_steps:
+            key = (k0, min(K, num_steps - k0), dt, ambient)
+            if key not in self._blocks:
+                self._blocks[key] = self.block(*key)
+            yield from self._blocks[key]
+            k0, K = k0 + K, min(2 * K, _CHUNK)
 
     def increment(self, step_index: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
         """The read-only (J,) increment dW of step ``step_index``: the one row of ``block(step_index, 1, dt, ambient)``."""

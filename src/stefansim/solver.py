@@ -14,9 +14,9 @@ into, so a step allocates no array of the state's size and its noise term
 looks nothing up.  ``advance`` steps the state by an increment array through
 the array functions of ``coefficients`` and applies the cutoff of a
 truncated run.  ``solve`` loops it from an initial row, records rows and
-decides the exits; a path that draws takes its increments from the stream's
-``block`` in the growing chunks of ``block_schedule``.  ``step`` runs it
-once from a row, which is how the lemma battery checks the cutoff that runs.
+decides the exits; only a path that draws reads the stream, as the
+sequence of its steps' increments.  ``step`` runs it once from a row, which
+is how the lemma battery checks the cutoff that runs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .noise import AmbientGrid, NoiseStream, coloring
 from .operators import SpectralOperator, apply_factors, semigroup_factors
 
 __all__ = ["SolveConfig", "ExitEvent", "Trajectory", "step", "solve", "exit_times"]
-
-_CHUNK = 256  # the most steps whose increments ``solve`` draws as one ``NoiseStream.block``
 
 # Relative tolerance on T/dt being a whole number of steps: admits the rounding
 # of decimal inputs such as 0.25/2e-3 = 125.00000000000001.
@@ -96,14 +94,6 @@ class Trajectory:
         return self.values[:, -1].copy()
 
 
-def block_schedule(num_steps: int):
-    """(k0, K) of the blocks every path of a seed draws: 32, 64, 128, then ``_CHUNK`` steps each, the last one short."""
-    k0, K = 0, 32
-    while k0 < num_steps:
-        yield k0, min(K, num_steps - k0)
-        k0, K = k0 + K, min(2 * K, _CHUNK)
-
-
 class _Path:
     """One trajectory: the constants of its step, its current state and the buffers it is stepped in.
 
@@ -135,7 +125,7 @@ class _Path:
         self.Y, self.Z, self.noise = np.ascontiguousarray(U[:, 1:-1]), np.empty((2, grid.M)), np.empty((2, grid.M))
         self.g = transport_direction(U, grid.h)
         self.p = float(x[-1])
-        self.nrm = padded_state_norm(U, self.p, grid.h, "H2", self.g)
+        self.nrm = padded_state_norm(U, self.p, grid.h, "H2")
 
     @property
     def row(self) -> np.ndarray:
@@ -232,9 +222,8 @@ def solve(
     coefficients the drift and diffusion are bounded, so runs only stop early
     at the explosion radius if that radius was set inside the cutoff ball.
 
-    ``stream`` needs only ``block(k0, K, dt, ambient)``, asked for the
-    blocks of ``block_schedule`` in order, up to the one holding the last
-    step taken, and only by a path whose model draws.
+    ``stream`` needs only ``increments(num_steps, dt, ambient)``, an iterator over the (J,) increments
+    of steps 0, 1, ... in order, read up to the last step taken; a noise-free path never touches it.
     """
     path = _Path(op, c, cfg, ambient, x0)
     times, rows, norms = [], [], [path.nrm]
@@ -247,7 +236,7 @@ def solve(
     record(0.0)
     exit_event: Optional[ExitEvent] = None
     last = cfg.num_steps - 1
-    increments = (dW for k0, K in block_schedule(cfg.num_steps) for dW in stream.block(k0, K, cfg.dt, ambient))
+    increments = stream.increments(cfg.num_steps, cfg.dt, ambient) if path.draws else None
     for k in range(cfg.num_steps):
         if not ambient.covers(path.p, op.grid.L):
             exit_event = ExitEvent(step=k, time=k * cfg.dt, threshold=math.inf, kind="window")

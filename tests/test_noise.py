@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, SolveConfig, Spect
 from stefansim import noise
 from stefansim.coefficients import sigma_affine
 from stefansim.errors import BoundaryLeftWindow
-from stefansim.noise import _gaussian_factors, color_at, color_field, coloring
-from stefansim.solver import _CHUNK
+from stefansim.noise import _CHUNK, _gaussian_factors, color_at, color_field, coloring
 
 from conftest import make_model
 from oracles import seed_sequence_increment
@@ -52,6 +52,41 @@ def test_block_has_the_bits_of_seed_sequence(seed, ambient):
         for i in range(K):
             assert np.array_equal(block[i], seed_sequence_increment(seed, k0 + i, dt, ambient)), (k0, i)
         assert np.array_equal(stream.increment(k0, dt, ambient), block[0])
+
+
+def test_increments_replay_each_block_once(ambient, monkeypatch):
+    # horizons at, just below and just above the ends of the blocks of 32, 64,
+    # 128 and _CHUNK steps: each row has the bits of numpy's draw for its
+    # step, each step is drawn once, and every later pass over the stream,
+    # whole, cut short or to an earlier block end, replays without drawing
+    calls = []
+    block = NoiseStream.block
+
+    def counted(self, k0, K, dt, amb):
+        calls.append(K)
+        return block(self, k0, K, dt, amb)
+
+    monkeypatch.setattr(NoiseStream, "block", counted)
+    seed, dt = 5, 1e-3
+    for num_steps in (1, 31, 32, 33, 96, 97, 224, 225, 480, 600):
+        stream = NoiseStream(seed)
+        calls.clear()
+        rows = list(stream.increments(num_steps, dt, ambient))
+        assert len(rows) == num_steps and sum(calls) == num_steps
+        for k, dW in enumerate(rows):
+            assert dW.shape == (ambient.J,) and not dW.flags.writeable
+            assert np.array_equal(dW, seed_sequence_increment(seed, k, dt, ambient)), (num_steps, k)
+        drawn = len(calls)
+        again = list(stream.increments(num_steps, dt, ambient))
+        assert len(again) == num_steps and all(np.array_equal(a, b) for a, b in zip(again, rows))
+        assert len(list(islice(stream.increments(num_steps, dt, ambient), num_steps // 2))) == num_steps // 2
+        for end in (e for e in (32, 96, 224, 480) if e <= num_steps):
+            assert all(np.array_equal(a, b) for a, b in zip(stream.increments(end, dt, ambient), rows))
+        assert len(calls) == drawn, num_steps
+        # another dt is another block: the stream draws again
+        first = next(stream.increments(num_steps, 2 * dt, ambient))
+        assert len(calls) == drawn + 1
+        assert np.array_equal(first, seed_sequence_increment(seed, 0, 2 * dt, ambient))
 
 
 def test_block_rejects_what_seed_sequence_rejects(ambient):

@@ -339,17 +339,18 @@ def test_noise_free_step_draws_nothing(grid, ambient):
     # zero sigma: the product with the increment is zero whatever it is, so a
     # step neither draws nor colors one, and a NaN increment cannot leak in
     class NanStream:
-        def block(self, k0, K, dt_, amb):
-            return np.full((K, amb.J), np.nan)
+        def increments(self, num_steps, dt_, amb):
+            return iter(np.full((num_steps, amb.J), np.nan))
 
     class CountingStream:
-        # calls counts the steps whose increments were drawn
+        # calls counts the steps whose increments were read
         def __init__(self, stream):
             self.stream, self.calls = stream, 0
 
-        def block(self, k0, K, dt_, amb):
-            self.calls += K
-            return self.stream.block(k0, K, dt_, amb)
+        def increments(self, num_steps, dt_, amb):
+            for dW in self.stream.increments(num_steps, dt_, amb):
+                self.calls += 1
+                yield dW
 
     model = make_model(ambient, rho=rho_linear(0.5))
     op = SpectralOperator(grid, 1.0, 1.0)
@@ -369,24 +370,23 @@ def test_noise_free_step_draws_nothing(grid, ambient):
     assert counted.calls == cfg.num_steps == len(traj.norm_h2) - 1
 
 
-def test_solve_draws_the_bits_of_per_step_draws(grid, ambient):
-    # 600 steps span five of solve's blocks, the last one short; each step of
-    # the path is the one step from its state on the increment that numpy
-    # draws for that step alone
-    class Recording:
-        def __init__(self, stream):
-            self.stream, self.blocks = stream, []
+def test_solve_draws_the_bits_of_per_step_draws(grid, ambient, monkeypatch):
+    # 600 steps span five of the stream's blocks, the last one short; each
+    # step of the path is the one step from its state on the increment that
+    # numpy draws for that step alone
+    blocks = []
+    block = NoiseStream.block
 
-        def block(self, k0, K, dt_, amb):
-            self.blocks.append((k0, K))
-            return self.stream.block(k0, K, dt_, amb)
+    def recorded(self, k0, K, dt_, amb):
+        blocks.append((k0, K))
+        return block(self, k0, K, dt_, amb)
 
+    monkeypatch.setattr(NoiseStream, "block", recorded)
     model = make_model(ambient, rho=rho_linear(0.5), sigma=sigma_affine(additive=0.3))
     op = SpectralOperator(grid, 1.0, 1.0)
     cfg = SolveConfig(dt=1e-4, T=0.06, n=8)
-    stream = Recording(NoiseStream(seed=3))
-    traj = solve(op, model, cfg, sine_state(grid), stream, ambient)
-    assert cfg.num_steps == 600 and stream.blocks == [(0, 32), (32, 64), (96, 128), (224, 256), (480, 120)]
+    traj = solve(op, model, cfg, sine_state(grid), NoiseStream(seed=3), ambient)
+    assert cfg.num_steps == 600 and blocks == [(0, 32), (32, 64), (96, 128), (224, 256), (480, 120)]
     assert not traj.exited and len(traj.values) == 601
     for k in range(cfg.num_steps):
         dW = seed_sequence_increment(3, k, cfg.dt, ambient)
@@ -431,9 +431,9 @@ def test_strong_order_under_common_noise(ambient):
         def __init__(self, fine, ratio):
             self.fine, self.ratio = fine, ratio
 
-        def block(self, k0, K, dt_, amb):
+        def increments(self, num_steps, dt_, amb):
             r = self.ratio
-            return np.array([sum(self.fine[k * r : (k + 1) * r]) for k in range(k0, k0 + K)])
+            return (sum(self.fine[k * r : (k + 1) * r]) for k in range(num_steps))
 
     sup_dist = np.zeros(halvings)
     for seed in seeds:
