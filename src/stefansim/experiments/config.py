@@ -8,8 +8,9 @@ whose scaled complementary error function ``_erfcx`` is evaluated with the
 standard library to 2e-15 relative, so no mode imports ``scipy.special``).
 The resolved config pickles, and it is what every cell and worker of a run
 receives.  Unknown or conflicting keys, non-numeric or non-finite values,
-non-integer counts, repeated seeds or family entries and degenerate widths
-and modes are rejected with a ``ConfigError`` that names the key.
+non-integer counts, empty or repeated seeds or family entries, an ``outputs``
+that is not a nonempty string and degenerate widths and modes are rejected
+with a ``ConfigError`` that names the key.
 """
 
 from __future__ import annotations
@@ -151,8 +152,8 @@ def parse_seeds(spec) -> list:
 
 
 def parse_family(spec) -> list:
-    if not isinstance(spec, list):
-        raise ConfigError(f"family must be a list, got {spec!r}")
+    if not isinstance(spec, list) or not spec:
+        raise ConfigError(f"family must be a nonempty list, got {spec!r}")
     out = []
     for n in spec:
         if n in ("inf", ".inf", "infinity") or (isinstance(n, float) and math.isinf(n)):
@@ -442,6 +443,10 @@ def resolve(raw: dict) -> ExperimentConfig:
                 f"family member n={n} has unresolved window: 1/n = {1 / n} < 2h = {2 * grid.h}"
             )
 
+    out_dir = raw.get("outputs", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"outputs must be a nonempty string, got {out_dir!r}")
+
     warnings, stefan = [], None
     if mode == "stefan-oracle":
         stefan, initial = build_stefan(
@@ -472,7 +477,7 @@ def resolve(raw: dict) -> ExperimentConfig:
         solve=solve_cfg,
         family=family,
         seeds=parse_seeds(raw.get("seeds", [0])),
-        out_dir=str(raw.get("outputs", "out")),
+        out_dir=out_dir,
         q=_as_int(raw.get("q", 2), "q", minimum=1),
         profiles=_as_bool(raw.get("profiles", False), "profiles"),
         dump_noise=_as_bool(raw.get("dump_noise", False), "dump_noise"),

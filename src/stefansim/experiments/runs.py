@@ -203,7 +203,10 @@ class ConvergenceReport:
 def _pair_distances(ref: Trajectory, traj: Trajectory):
     """Sup-over-time distances on the common pre-exit recorded window, and whether either path exited."""
     exited = bool(traj.exited or ref.exited)
-    # the crossing state lies outside the half-open survival window
+    # an exited path's last recorded row is dropped: a "radius" or "window"
+    # exit records the state it stops at, outside the half-open survival
+    # window; a "nonfinite" exit records nothing at its step, so the row it
+    # drops is its last finite recorded state
     kmax = min(len(ref.values) - ref.exited, len(traj.values) - traj.exited)
     if kmax == 0:
         return 0.0, 0.0, 0.0, exited

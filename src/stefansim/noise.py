@@ -1,5 +1,9 @@
 """Discretized cylindrical Wiener increments, drawn once per seed and replayed, and the coloring operator.
 
+Step k of a seed's ``NoiseStream`` has the bits of numpy's draw from
+``SeedSequence(seed, spawn_key=(0, k))``: the stream takes the seed's part of
+that hash from numpy's own pool and computes only the step indices' part.
+
 The cylindrical increment over one step is a vector of iid N(0, dt/dy)
 variates on an ambient real-line grid; the coloring kernel, the Gaussian
 zeta(x, y) = (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)) of width s, turns it
@@ -72,18 +76,6 @@ class AmbientGrid:
         return self.x_lo <= p - L and p + L <= self.x_hi
 
 
-def _gaussian(scale: float):
-    c = 1.0 / math.sqrt(2.0 * math.pi * scale * scale)
-
-    def zeta(x, y):
-        d = np.asarray(x) - np.asarray(y)
-        # below a scale of about 1e-153 d^2 / (2 s^2) overflows off the diagonal; exp(-inf) = 0 is right
-        with np.errstate(over="ignore"):
-            return c * np.exp(-d * d / (2.0 * scale * scale))
-
-    return zeta
-
-
 @dataclass(frozen=True)
 class Kernel:
     """The Gaussian coloring kernel of width ``scale``."""
@@ -92,7 +84,11 @@ class Kernel:
 
     def zeta(self, x, y):
         """zeta(x, y) = (2 pi s^2)^(-1/2) exp(-(x-y)^2 / (2 s^2)), for broadcasting arrays x and y."""
-        return _gaussian(self.scale)(x, y)
+        c = 1.0 / math.sqrt(2.0 * math.pi * self.scale * self.scale)
+        d = np.asarray(x) - np.asarray(y)
+        # below a scale of about 1e-153 d^2 / (2 s^2) overflows off the diagonal; exp(-inf) = 0 is right
+        with np.errstate(over="ignore"):
+            return c * np.exp(-d * d / (2.0 * self.scale * self.scale))
 
 
 def gaussian_kernel(scale: float, ambient: AmbientGrid) -> Kernel:
@@ -129,7 +125,7 @@ def _hash_consts(init: int, mult: int, t: int, n: int) -> list:
     return out
 
 
-# SeedSequence's hashmix and mix, on Python ints or elementwise on uint32 arrays
+# SeedSequence's hashmix and mix, elementwise on uint32 arrays
 def _hashmix(value, c0, c1):
     v = (value ^ c0) * c1 & _MASK32
     return v ^ v >> 16
@@ -170,29 +166,16 @@ class NoiseStream:
 
     @cached_property
     def _pool(self):
-        """The seed's SeedSequence pool after every entropy word but the step index's, and the hashes taken.
+        """numpy's pool after the seed's words and the spawn key's leading 0, as a (4, 1) column, and the hashes taken.
 
-        A spawned sequence's entropy is the seed's words, zero-padded to the
-        pool size of 4, then the spawn key's words.  Only the step index's
-        words differ between steps, and they come last.
+        The entropy is the seed's words, zero-padded to 4, then the spawn key's: 4 hashes fill
+        the pool, 12 mix it and 4 take in each further word, so the step index's words come last.
         """
         seed = operator.index(self.seed)
         if seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        entropy = [seed >> s & _MASK32 for s in _word_shifts(seed)]
-        entropy += [0] * (4 - len(entropy)) + [0]  # the padding, then the spawn key's leading 0
-        # 4 hashes fill the pool, 12 mix it and 4 take in each further word
-        consts = _hash_consts(_INIT_A, _MULT_A, 0, 4 * len(entropy))
-        hashes = iter(zip(consts, consts[1:]))
-        pool = [_hashmix(w, *next(hashes)) for w in entropy[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(hashes)))
-        for w in entropy[4:]:
-            for dst in range(4):
-                pool[dst] = _mix(pool[dst], _hashmix(w, *next(hashes)))
-        return pool, len(consts) - 1
+        pool = np.random.SeedSequence(seed, spawn_key=(0,)).pool[:, None]
+        return pool, 4 * (max(len(_word_shifts(seed)), 4) + 1)
 
     def block(self, k0: int, K: int, dt: float, ambient: AmbientGrid) -> np.ndarray:
         """The read-only (K, J) array whose row i is the increment of step k0 + i: iid N(0, dt/dy) at the ambient nodes.
@@ -206,8 +189,7 @@ class NoiseStream:
             raise ValueError(f"dt must be positive, got {dt}")
         if k0 < 0 or K < 1:
             raise ValueError(f"need a step index >= 0 and at least one step, got k0={k0}, K={K}")
-        seed_pool, t = self._pool
-        pool = np.array(seed_pool, dtype=np.uint32)[:, None]
+        pool, t = self._pool
         steps = range(k0, k0 + K)
         for w, s in enumerate(_word_shifts(steps[-1])):
             word = np.array([k >> s & _MASK32 for k in steps], dtype=np.uint32)
@@ -283,7 +265,7 @@ def _gaussian_factors(scale: float, ambient: AmbientGrid, grid: Grid):
     xs = grid.nodes
     rows = np.concatenate((xs, -xs))
     cols = ambient.nodes - centre
-    Z = _gaussian(scale)(centre + rows[:, None], ambient.nodes[None, :])
+    Z = Kernel(scale).zeta(centre + rows[:, None], ambient.nodes[None, :])
     for a in (Z, rows, cols):
         a.setflags(write=False)
     return Z, rows, cols, centre

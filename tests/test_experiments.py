@@ -160,6 +160,11 @@ def test_config_validation(tmp_path):
         resolve(raw)
 
     raw = base_raw(tmp_path)
+    raw["family"] = []  # no member: simulate would write no trajectory and exit 0
+    with pytest.raises(ConfigError, match="family"):
+        resolve(raw)
+
+    raw = base_raw(tmp_path)
     raw["solve"].update(T=1.0, dt=0.3)  # T/dt is not a whole number of steps
     with pytest.raises(ConfigError):
         resolve(raw)
@@ -1067,6 +1072,26 @@ def test_exploding_simulate_draws_about_what_it_uses(tmp_path, monkeypatch):
     metas = [json.loads(p.read_text()) for p in (tmp_path / "out").glob("*_exit.json")]
     assert len(metas) == 10 and all(m["exit"]["kind"] == "nonfinite" and m["exit"]["step"] == 19 for m in metas)
     assert sum(drawn) <= 64
+
+
+@pytest.mark.parametrize("outputs", [None, ["a", "b"], "", "--out"], ids=["null", "list", "empty", "empty-out-flag"])
+def test_outputs_must_be_a_nonempty_string(tmp_path, monkeypatch, capsys, outputs):
+    # null and a list would be written to ./None and ./['a', 'b'], and an
+    # empty string, from the file or from --out, ended in a traceback
+    from stefansim.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    raw = base_raw(tmp_path, mode="converge")
+    raw.update(family=[4, 6, 8, "inf"], outputs=outputs)
+    argv = ["converge", "--config", "cfg.yaml"]
+    if outputs == "--out":
+        raw["outputs"] = str(tmp_path / "out")
+        argv += ["--out", ""]
+    (tmp_path / "cfg.yaml").write_text(yaml.safe_dump(raw))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: outputs must be a nonempty string"), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml"]
 
 
 def test_cli_bad_config(tmp_path, capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from stefansim import AmbientGrid, Grid, Kernel, NoiseStream, SolveConfig, SpectralOperator, gaussian_kernel, step
-from stefansim import noise
 from stefansim.coefficients import sigma_affine
 from stefansim.errors import BoundaryLeftWindow
 from stefansim.noise import _CHUNK, _gaussian_factors, color_at, color_field, coloring
@@ -307,18 +306,13 @@ def test_gaussian_kernel_evaluates_one_row(monkeypatch):
     assert [f.name for f in dataclasses.fields(Kernel)] == ["scale"]
     ambient = AmbientGrid(-3.0, 3.0, 2001)
     evaluated = []
-    gaussian = noise._gaussian
+    zeta = Kernel.zeta
 
-    def counting(scale):
-        zeta = gaussian(scale)
+    def counted(self, x, y):
+        out = zeta(self, x, y)
+        evaluated.append(out.size)
+        return out
 
-        def counted(x, y):
-            out = zeta(x, y)
-            evaluated.append(out.size)
-            return out
-
-        return counted
-
-    monkeypatch.setattr(noise, "_gaussian", counting)
+    monkeypatch.setattr(Kernel, "zeta", counted)
     assert gaussian_kernel(0.5, ambient) == Kernel(0.5)
     assert 0 < sum(evaluated) <= 4 * ambient.J

@@ -546,3 +546,47 @@ def test_initial_data_continuity_under_common_noise():
     print(line, file=sys.__stdout__, flush=True)
     REPORT_LINES.append(line)
     assert ok
+
+
+def test_coefficient_continuity_under_common_noise():
+    # The solution map is continuous in the coefficients: on the same noise,
+    # scaling either part of sigma, rho0 or the kernel scale by 1 + eps, or
+    # switching on the drift mu = eps v from mu = 0, moves the whole path by
+    # O(eps): expected order 1.
+    base = load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "example.yaml")).raw
+    model = base["model"]
+    sigma, rho, kernel = model["sigma"], model["rho"], model["kernel"]
+    assert model["mu"] == {"name": "zero"}
+    perturbations = {
+        "sigma multiplicative": lambda e: dict(sigma=dict(sigma, multiplicative=sigma["multiplicative"] * (1 + e))),
+        "sigma additive": lambda e: dict(sigma=dict(sigma, additive=sigma["additive"] * (1 + e))),
+        "rho0": lambda e: dict(rho=dict(rho, rho0=rho["rho0"] * (1 + e))),
+        "kernel scale": lambda e: dict(kernel=dict(kernel, scale=kernel["scale"] * (1 + e))),
+        "mu = eps v": lambda e: dict(mu={"name": "linear", "c_v": e}),
+    }
+    epss, seeds = (1e-1, 1e-2, 1e-3, 1e-4), range(8)
+    cfg = resolve(base)
+    perturbed = {
+        (name, eps): resolve(dict(base, model=dict(model, **f(eps)))) for name, f in perturbations.items() for eps in epss
+    }
+    orders = {}
+    for n in (8, INF):
+        refs = [solve(cfg.operator, cfg.model, replace(cfg.solve, n=n), cfg.initial, NoiseStream(seed=s), cfg.ambient) for s in seeds]
+        for name in perturbations:
+            rms = []
+            for eps in epss:
+                c, sq = perturbed[name, eps], 0.0
+                for seed, ref in zip(seeds, refs):
+                    traj = solve(c.operator, c.model, replace(c.solve, n=n), c.initial, NoiseStream(seed=seed), c.ambient)
+                    assert not traj.exited and not ref.exited
+                    sq += max(state_norm(cfg.grid, x - y, "H1") for x, y in zip(ref.values, traj.values)) ** 2
+                rms.append(math.sqrt(sq / len(seeds)))
+            orders[name, n] = float(np.polyfit(np.log(epss), np.log(rms), 1)[0])
+    ok = all(order >= 0.9 for order in orders.values())
+    fitted = ", ".join(f"{name} {orders[name, 8]:.3f}/{orders[name, INF]:.3f}" for name in perturbations)
+    line = (f"COEFFICIENT CONTINUITY: {'PASS' if ok else 'FAIL'} - fitted order at n=8/n=inf (>=0.9, expected 1) "
+            f"of RMS sup_t |X - X_eps|_H1 for {fitted}; eps = {epss[0]:g}..{epss[-1]:g}, {len(seeds)} seeds "
+            f"on configs/example.yaml")
+    print(line, file=sys.__stdout__, flush=True)
+    REPORT_LINES.append(line)
+    assert ok
